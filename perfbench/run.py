@@ -9,6 +9,10 @@ With ``--trace 1`` it runs the same schedule twice, first untraced and then
 with the tracer installed, each for half the time, and reports per-layer
 metrics per op plus the tracing overhead between the two halves.
 
+Times are reported at the nominal speed of ``speed.py``: the run times a
+reference between ops, evenly over the run, and scales every time by the
+reference's nominal over its mean, which cancels the shared host's drift.
+
 Human-readable lines come first; the last line of standard output is one JSON
 object with the keys ``correct``, ``attempted``, ``failed`` and ``metrics``.
 A fuller record (environment, tail percentile, failing ops, the per-layer
@@ -32,7 +36,9 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = ROOT / ".perfbench_out"
 sys.path.insert(0, str(ROOT / "src"))
 
-SETUP_REPEATS = 5
+import speed  # noqa: E402  (the references: standard library only)
+
+SETUP_REPEATS = 9
 TAIL_BEYOND = 10
 
 END_TO_END = [
@@ -133,31 +139,38 @@ def environment() -> dict:
     }
 
 
-def measure_setup(env) -> list:
-    """Seconds from a fresh interpreter until ``resilift.cli`` is imported."""
+def measure_setup(env):
+    """Seconds from a fresh interpreter until ``resilift.cli`` is imported.
+
+    Returns the import times and the speedometer sampled between them.
+    """
     from workloads import run_subprocess
 
     args = [sys.executable, "-c", "import resilift.cli"]
     run_subprocess(args, env, ROOT)  # warm the page cache; not counted
     times = []
+    meter = speed.Speedometer("process")
+    meter.sample()
     for _ in range(SETUP_REPEATS):
         start = time.perf_counter()
         proc = run_subprocess(args, env, ROOT)
         times.append(time.perf_counter() - start)
+        meter.catch_up()
         if proc.returncode != 0:
             raise RuntimeError(f"import resilift.cli failed: {proc.stderr.strip()}")
-    return times
+    return times, meter
 
 
 class Phase:
-    """One closed-loop pass over the schedule: latencies and failures."""
+    """One closed-loop pass over the schedule: latencies, failures and references."""
 
-    def __init__(self):
+    def __init__(self, meter):
+        self.starts = []  # perf_counter at the start of each attempted op
         self.latencies = []  # seconds, one per attempted op, in schedule order
         self.ok = []
-        self.keys = []  # what repeats across rounds: the op's input, or None
         self.failures = []
         self.round_starts = []  # index of the first op of each round
+        self.meter = meter  # the workload's reference, sampled between ops
 
     @property
     def attempted(self):
@@ -169,10 +182,11 @@ class Phase:
 
 
 def run_phase(workload, seconds: float, tracer=None) -> Phase:
-    """Whole rounds until ``seconds`` have passed."""
-    phase = Phase()
+    """Whole rounds until ``seconds`` have passed, with the reference in between."""
+    phase = Phase(speed.Speedometer(workload.reference))
     clock = time.perf_counter
     started = clock()
+    phase.meter.sample()
     index = 0
     while index == 0 or clock() - started < seconds:
         phase.round_starts.append(phase.attempted)
@@ -186,53 +200,22 @@ def run_phase(workload, seconds: float, tracer=None) -> Phase:
                 problem = None
             except Exception as exc:  # an op that raises is a failed op
                 output, problem = None, f"{type(exc).__name__}: {exc}"
+            phase.starts.append(begin)
             phase.latencies.append(clock() - begin)
-            phase.keys.append(workload.key(item))
             if problem is None:
                 problem = workload.check(item, output)
             phase.ok.append(problem is None)
             if problem is not None:
                 phase.failures.append({"op": workload.label(item), "problem": problem})
+            phase.meter.catch_up()
         index += 1
     return phase
 
 
-def _rounds(phase: Phase):
-    ends = phase.round_starts[1:] + [phase.attempted]
-    return list(zip(phase.round_starts, ends))
-
-
-def slowdowns(phase: Phase) -> list:
-    """How much slower each round ran than the fastest speed seen in the run.
-
-    On a shared host the machine's speed drifts by up to 2x over tens of
-    seconds.  An op that repeats across rounds (same input, same work) is
-    compared with its own fastest repetition; a round's slowdown is the
-    median of those ratios over its repeated ops.  Dividing each latency by
-    its round's slowdown reports every op at the run's fastest speed.
-    """
-    rounds = _rounds(phase)
-    per_key = {}  # key -> round -> latencies
-    for r, (a, b) in enumerate(rounds):
-        for t, key in zip(phase.latencies[a:b], phase.keys[a:b]):
-            if key is not None:
-                per_key.setdefault(key, {}).setdefault(r, []).append(t)
-    ratios = [[] for _ in rounds]
-    for by_round in per_key.values():
-        if len(by_round) > 1:
-            medians = {r: statistics.median(ts) for r, ts in by_round.items()}
-            best = min(medians.values())
-            for r, m in medians.items():
-                ratios[r].append(m / best)
-    return [statistics.median(rs) if rs else 1.0 for rs in ratios]
-
-
 def scaled_latencies(phase: Phase) -> list:
-    """Every op's latency divided by its round's slowdown."""
-    scaled = []
-    for (a, b), slowdown in zip(_rounds(phase), slowdowns(phase)):
-        scaled += [t / slowdown for t in phase.latencies[a:b]]
-    return scaled
+    """Every op's latency at the nominal speed."""
+    factors = phase.meter.factors(zip(phase.starts, phase.latencies))
+    return [t * f for t, f in zip(phase.latencies, factors)]
 
 
 def summarize(phase: Phase) -> dict:
@@ -248,11 +231,14 @@ def summarize(phase: Phase) -> dict:
         tail_pct = 100.0 * (n - TAIL_BEYOND) / n
     else:
         tail, tail_pct = (done[-1] if done else 0.0), 100.0
+    raw_done = sorted(t for t, ok in zip(phase.latencies, phase.ok) if ok)
     return {
         "completed": n,
         "rounds": len(phase.round_starts),
+        "reference_s": phase.meter.samples,
+        "run_mean_to_nominal": phase.meter.to_nominal(),
         "raw_busy_s": sum(phase.latencies),
-        "busy_s_at_best_speed": sum(done),
+        "raw_op_p50_ms": 1e3 * statistics.median(raw_done) if raw_done else 0.0,
         "ops_per_s": len(steady) / sum(steady) if steady else 0.0,
         "op_p50_ms": 1e3 * statistics.median(done) if done else 0.0,
         "op_tail_ms": 1e3 * tail,
@@ -400,7 +386,7 @@ def main(argv=None) -> int:
     workdir.mkdir()
     try:
         env = workloads.program_env(ROOT)
-        setup_times = measure_setup(env)
+        setup_times, setup_meter = measure_setup(env)
         workload = workloads.WORKLOADS[args.workload](ROOT, workdir, args.seed)
         workload.prepare()
         warm = workload.round(0)[0]
@@ -413,7 +399,8 @@ def main(argv=None) -> int:
             "trace": args.trace,
             "seconds": args.seconds,
             "environment": environment(),
-            "setup_s_samples": setup_times,
+            "setup_s_raw_samples": setup_times,
+            "setup_reference_s": setup_meter.samples,
             "load": "closed loop, one client, one process"
             + ("; the batch CLI runs its own worker pool" if workload.children_rss else ""),
         }
@@ -424,7 +411,7 @@ def main(argv=None) -> int:
             phase = run_phase(workload, args.seconds)
             summary = summarize(phase)
             metrics = {
-                "setup_s": statistics.median(setup_times),
+                "setup_s": statistics.median(setup_times) * setup_meter.to_nominal(),
                 "ops_per_s": summary["ops_per_s"],
                 "op_p50_ms": summary["op_p50_ms"],
                 "op_tail_ms": summary["op_tail_ms"],

@@ -81,6 +81,34 @@ def test_declared_metrics_match_the_runner():
     }
 
 
+def test_speedometer_cancels_a_uniform_slowdown(monkeypatch):
+    import speed
+
+    for slowdown in (1.0, 1.7):
+        basic = {
+            name: (lambda s=slowdown * nominal: s, nominal, every_s)
+            for name, (_, nominal, every_s) in speed.BASIC.items()
+        }
+        monkeypatch.setattr(speed, "BASIC", basic)
+        meter = speed.Speedometer("process")
+        meter.sample()
+        meter.catch_up()
+        assert set(meter.samples) == {"start", "loop"}
+        assert meter.to_nominal() == pytest.approx(1.0 / slowdown)
+
+
+def test_short_ops_take_the_nearest_loop_sample():
+    import speed
+
+    meter = speed.Speedometer("loop")
+    nominal = speed.BASIC["loop"][1]
+    meter.samples["loop"] = [nominal, 2 * nominal]
+    meter.at["loop"] = [10.0, 11.0]
+    short, long_ = speed.SHORT_OP_S / 10, speed.SHORT_OP_S
+    factors = meter.factors([(10.9, short), (10.2, short), (10.0, long_)])
+    assert factors == pytest.approx([0.5, 1.0, 1.0 / 1.5])
+
+
 def test_same_seed_same_inputs(tmp_path):
     def inputs(seed):
         workload = workloads.CriterionSweep(run.ROOT, tmp_path, seed)

@@ -1,17 +1,15 @@
 """The four workloads: seeded inputs, one timed op each, and its oracle.
 
 Every workload is a closed loop with one client.  A run is a sequence of
-whole rounds of the same composition.  Ops that repeat across rounds (pacers,
-rotating tail inputs) measure how fast the shared machine runs in each round;
-fresh draws that do not repeat are the seed's sample of the input space.  The
-heaviest inputs run once, in round 0.
+whole rounds of the same composition.  Pacers, the same inputs in every round
+of every seed, hold part of the load fixed; fresh draws are the seed's sample
+of the input space.  The heaviest inputs run once, in round 0.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
-import itertools
 import json
 import math
 import os
@@ -67,6 +65,7 @@ def run_subprocess(args, env, cwd) -> subprocess.CompletedProcess:
 class Workload:
     name = ""
     children_rss = False  # peak memory is the children's, not this process's
+    reference = "loop"  # the speed.py reference that scales this workload's times
 
     def __init__(self, root: Path, workdir: Path, seed: int):
         self.root = root
@@ -79,10 +78,6 @@ class Workload:
     def round(self, index: int) -> list:
         """The ops of round ``index``; the pacers are the same in every round."""
         raise NotImplementedError
-
-    def key(self, item):
-        """What identifies a repeated op across rounds; None for a fresh draw."""
-        return self.label(item)
 
     def stage(self, item) -> None:
         """Untimed per-op preparation, such as a fresh copy of a directory."""
@@ -103,7 +98,7 @@ class Workload:
 # -- analyze-bp -------------------------------------------------------------
 
 # The same six body jobs run in every round of every seed, at evenly spaced
-# ranks of a cost proxy (numerator terms, then cover order); they pace the
+# ranks of a cost proxy (numerator terms, then cover order), next to the
 # fresh draws, which do not repeat.
 _RANKED = sorted(catalog.BODY, key=lambda job: (len(job.g_exponents), job.cover_order, job.job_id))
 PACERS = tuple(_RANKED[(2 * i + 1) * len(_RANKED) // 12] for i in range(6))
@@ -143,9 +138,6 @@ class AnalyzeBP(Workload):
         rng.shuffle(items)
         return items
 
-    def key(self, job):
-        return job.job_id if job in PACERS or job in catalog.TAIL else None
-
     def run(self, job: Job):
         spec = self.cli.load_job(self.paths[job.job_id])
         report = self.residue.analyze(
@@ -172,9 +164,13 @@ POOL = sorted({Fraction(p, q) for q in range(1, 13) for p in range(1, q + 1)})
 # number of weight multisets of each size 1..4 drawn from the pool; they sum
 # to the 230,299 systems of the exhaustive criterion sweep
 SIZE_COUNTS = [math.comb(len(POOL) + n - 1, n) for n in range(1, 5)]
+# Two tail systems of the same cost (within 2 %), about 20 of each per run:
+# the tail op (10 beyond it) then lies inside one population.  With unequal
+# costs it sat where the costliest system's count ran out, and jumped 15 %
+# between runs with one repetition more or less.
 PRIME_TAIL = [
-    tuple(Fraction(1, p) for p in triple)
-    for triple in itertools.combinations((43, 47, 53, 59), 3)
+    (Fraction(1, 43), Fraction(1, 47), Fraction(1, 59)),
+    (Fraction(1, 43), Fraction(1, 53), Fraction(1, 59)),
 ]
 PRIME_HEAVY = (Fraction(1, 83), Fraction(1, 89), Fraction(1, 97))
 
@@ -202,7 +198,6 @@ class CriterionSweep(Workload):
         self._rng("tail").shuffle(self.tail_order)
         pacer_rng = self._rng("pacers")
         self.pacers = {uniform_system(pacer_rng) for _ in range(self.PACERS)}
-        self.fresh = set()
         # brute force on a seeded sample: the first systems of the first round
         self.brute = {}
         for weights in self.round(0):
@@ -216,8 +211,8 @@ class CriterionSweep(Workload):
 
     def round(self, index):
         rng = self._rng("round", index)
-        self.fresh = {uniform_system(rng) for _ in range(self.BODY_PER_ROUND)}
-        items = list(self.pacers) + list(self.fresh)
+        fresh = {uniform_system(rng) for _ in range(self.BODY_PER_ROUND)}
+        items = list(self.pacers) + list(fresh)
         rng.shuffle(items)
         tail = [self.tail_order[index % len(self.tail_order)]]
         if index == 0:
@@ -225,9 +220,6 @@ class CriterionSweep(Workload):
         for weights in tail:
             items.insert(rng.randrange(len(items) + 1), weights)
         return items
-
-    def key(self, weights):
-        return None if weights in self.fresh else weights
 
     def run(self, weights):
         w = self.weights.WeightSystem(weights)
@@ -400,6 +392,7 @@ class CliBatch(Workload):
 
     name = "cli-batch"
     children_rss = True
+    reference = "process"
     JOBS = 48
     POWERS = 2
     OPS_PER_ROUND = 3
@@ -466,9 +459,6 @@ class CliBatch(Workload):
             if not report.exists() or report.read_text() != text:
                 return f"{job_id}: batch report differs from the in-process report"
         return None
-
-    def key(self, item):
-        return "batch"
 
     def label(self, item):
         return f"batch-{item}"

@@ -265,8 +265,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -313,6 +314,8 @@ class Polynomial:
             for im in images[1:]:
                 if im.variables != target:
                     raise ArityError("substitution images use different variable tuples")
+        if all(len(im.terms) == 1 for im in images):
+            return self._substitute_monomials(images, target)
         acc = Polynomial.zero(target)
         # cache of incremental powers, one list per variable
         powers = [[Polynomial.one(target), im] for im in images]
@@ -327,6 +330,38 @@ class Polynomial:
                 term = term * cache[e]
             acc = acc + term
         return acc
+
+    def _substitute_monomials(
+        self, images: Sequence["Polynomial"], target: Tuple[str, ...]
+    ) -> "Polynomial":
+        """Substitution of single-term images c_i * u^(M_i), by exponent arithmetic.
+
+        A term c * z^e goes to c * prod c_i^(e_i) * u^(sum e_i M_i); no power
+        of an image is built.  Terms accumulate in the order of self.terms.
+        """
+        rows = []
+        for im in images:
+            ((mono, c),) = im.terms.items()
+            row = tuple((j, m) for j, m in enumerate(mono.exponents) if m)
+            rows.append((row, None if c == 1 else c))
+        width = len(target)
+        out: Dict[Monomial, Fraction] = {}
+        for mono, coeff in self.terms.items():
+            exps = [0] * width
+            for e, (row, c) in zip(mono.exponents, rows):
+                if e == 0:
+                    continue
+                for j, m in row:
+                    exps[j] += e * m
+                if c is not None:
+                    coeff = coeff * c**e
+            key = Monomial(tuple(exps))
+            total = out.get(key, _ZERO) + coeff
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
+        return Polynomial(target, out)
 
     def evaluate(self, values: Sequence):
         if len(values) != len(self.variables):
@@ -384,23 +419,6 @@ class Polynomial:
 def partial_derivative(p: Polynomial, var_index: int) -> Polynomial:
     """Exact partial derivative with respect to the variable at var_index."""
     return p.partial_derivative(var_index)
-
-
-def substitute_monomial_map(p: Polynomial, images: Sequence[Polynomial]) -> Polynomial:
-    """Substitute one single-term polynomial image per variable of p.
-
-    This is the restricted substitution used by coordinate changes of the
-    form z_i -> c * (monomial); each image must consist of exactly one term.
-    """
-    images = list(images)
-    if len(images) != len(p.variables):
-        raise ArityError(
-            f"expected {len(p.variables)} images, got {len(images)}"
-        )
-    for im in images:
-        if len(im.terms) != 1:
-            raise AlgebraError(f"image {im} is not a single monomial term")
-    return p.substitute(images)
 
 
 def divide_with_remainder(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Polynomial]:

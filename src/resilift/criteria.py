@@ -1,4 +1,4 @@
-"""Liftability criterion, nonpositive spectrum, and verdict assembly.
+r"""Liftability criterion, nonpositive spectrum, and verdict assembly.
 
 The computable core of the analysis.  For a weight system with total weight
 kappa, the residue class of (g/s) dz0 /\ ... /\ dzn lifts whenever no
@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import Polynomial, divides, substitute_monomial_map
+from .algebra import Polynomial, divides
 from .weights import (
     WeightSystem,
     is_quasihomogeneous,
@@ -161,9 +161,16 @@ def spectrum_nonpositive(w: WeightSystem) -> Tuple[SpectrumEntry, ...]:
 
 def cover_image(p: Polynomial, w: WeightSystem) -> Polynomial:
     """Image of p under the branched cover z_i -> z_i^(cover_order * a_i)."""
-    gens = Polynomial.generators(p.variables)
-    images = [z**e for z, e in zip(gens, w.cover_exponents)]
-    return substitute_monomial_map(p, images)
+    return p.substitute(_cover_images(p.variables, w))
+
+
+def _cover_images(variables: Sequence[str], w: WeightSystem) -> List[Polynomial]:
+    """The cover as single-term images, z_i -> z_i^(cover_order * a_i)."""
+    n = len(variables)
+    return [
+        Polynomial.single_term(variables, [e if j == i else 0 for j in range(n)])
+        for i, e in enumerate(w.cover_exponents)
+    ]
 
 
 def obstruction_component(

@@ -15,6 +15,12 @@ module provides two more specialised tools used by the residue pipeline:
   df /\\ (a-b) is divisible by f once denominators (required coprime to f)
   are cleared.  This deliberately avoids general ideal membership; the
   divisibility probe is exact for the comparisons performed here.
+
+``pullback`` accepts any polynomial images.  When every image is a single
+term c_i * u^(M_i), a monomial map such as the branched cover or a blow-up
+chart, it works on the integer exponent matrix M instead: coefficients are
+substituted by exponent arithmetic, and dz_I goes straight to the sum over J
+of det M[I,J] times a monomial times du_J, with no wedge products.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .algebra import (
     ArityError,
     Polynomial,
     RationalFunction,
+    ZeroDenominatorError,
     divide_with_remainder,
     divides,
     rational_with_variables,
@@ -337,6 +344,8 @@ def pullback(
                 raise ArityError("pullback images use different variable tuples")
     else:
         target = ()
+    if all(len(im.terms) == 1 for im in images):
+        return _pullback_monomial(a, images, target)
     d_images = [d_of_polynomial(im) for im in images]
     out = DifferentialForm.zero(target)
     for key, coeff in a.components.items():
@@ -347,6 +356,69 @@ def pullback(
                 break
         out = out + piece
     return out
+
+
+def _pullback_monomial(
+    a: DifferentialForm, images: Sequence[Polynomial], target: Tuple[str, ...]
+) -> DifferentialForm:
+    """Pullback through single-term images z_i -> c_i * u^(M_i).
+
+    d(c_i u^(M_i)) = c_i sum_j M_ij u^(M_i - e_j) du_j, so f dz_I pulls back
+    to the sum over J of (f o phi) * prod_{i in I} c_i * det M[I,J] *
+    u^(sum_{i in I} M_i - sum_{j in J} e_j) du_J.  A nonzero minor puts a
+    positive entry in every column j of J, so those exponents stay
+    nonnegative.  Each component costs one RationalFunction construction.
+    """
+    rows = []
+    for im in images:
+        ((mono, c),) = im.terms.items()
+        rows.append((mono.exponents, c))
+    width = len(target)
+    pieces = []
+    for key, coeff in a.components.items():
+        num = coeff.num.substitute(images)
+        den = coeff.den.substitute(images)
+        if den.is_zero:
+            raise ZeroDenominatorError("substitution sends the denominator to zero")
+        scale = Fraction(1)
+        base = [0] * width
+        for i in key:
+            exps, c = rows[i]
+            scale *= c
+            for j, m in enumerate(exps):
+                base[j] += m
+        for cols, minor in _minors([rows[i][0] for i in key]).items():
+            shift = list(base)
+            for j in cols:
+                shift[j] -= 1
+            factor = scale * minor
+            shifted = {
+                tuple(e + d for e, d in zip(mono.exponents, shift)): c * factor
+                for mono, c in num.terms.items()
+            }
+            pieces.append((cols, RationalFunction(Polynomial(target, shifted), den)))
+    # the constructor sums pieces landing on one du_J and drops zeros
+    return DifferentialForm(target, pieces)
+
+
+def _minors(rows: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], int]:
+    """Nonzero maximal minors det M[I, J] of the given exponent rows, keyed by J.
+
+    Expands the wedge of the rows' supports: each choice of one nonzero
+    entry per row contributes its product, signed by sorting its columns.
+    """
+    minors: Dict[Tuple[int, ...], int] = {(): 1}
+    for row in rows:
+        grown: Dict[Tuple[int, ...], int] = {}
+        for cols, value in minors.items():
+            for j, m in enumerate(row):
+                if m == 0:
+                    continue
+                sign, merged = _merge_signed(cols, (j,))
+                if sign:
+                    grown[merged] = grown.get(merged, 0) + sign * value * m
+        minors = {cols: v for cols, v in grown.items() if v}
+    return minors
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Symbolic residue pipeline for first order poles on quasihomogeneous hypersurfaces.
+r"""Symbolic residue pipeline for first order poles on quasihomogeneous hypersurfaces.
 
 For omega = (g/s) dz0 /\ ... /\ dzn with s quasihomogeneous of valuation 1,
 the Leray residue is the form r on {s=0} with ds /\ r = g dz0 /\ ... /\ dzn;
@@ -11,6 +11,11 @@ is negative one exactly on the logarithmic boundary alpha = 1 - kappa, and
 there the coefficient of du_0/u_0, the second residue, is the symbolic
 obstruction to lifting: it is recovered by dividing the chart volume form
 by d of the chart equation.
+
+The cover, the blow-up chart and the evaluation at z_0 = 1 are all monomial
+maps, so every pullback and substitution here runs by exponent arithmetic
+(see forms.pullback); its cost follows the term count, not l.  analyze
+computes the blow-up form once and takes the split from it.
 
 Everything here is exact.  The scalar prefactor 1/(2*pi*i) that
 conventionally normalizes residues is carried as a symbolic tag on the
@@ -30,13 +35,17 @@ from .algebra import (
     with_variables,
 )
 from .criteria import (
+    INCONCLUSIVE,
+    LIFTS,
+    OBSTRUCTED,
     CriterionDecision,
     LiftVerdict,
+    PointDecision,
     RemovablePoleError,
     SpectrumEntry,
+    _cover_images,
     cover_image,
     lift_criterion,
-    lift_verdict,
     obstruction_component,
     spectrum_nonpositive,
 )
@@ -125,7 +134,7 @@ def _first_usable_chart(s: Polynomial) -> Optional[int]:
 
 
 def leray_residue(g: Polynomial, s: Polynomial, chart: int) -> ChartForm:
-    """The chart form r = (-1)^chart (g/s_chart) dz0 /\ ...omit chart... /\ dzn.
+    r"""The chart form r = (-1)^chart (g/s_chart) dz0 /\ ...omit chart... /\ dzn.
 
     Satisfies ds /\ r = g dz0 /\ ... /\ dzn exactly as forms, not merely
     modulo s.
@@ -160,7 +169,7 @@ def leray_residue(g: Polynomial, s: Polynomial, chart: int) -> ChartForm:
 
 
 def residue_division(eta: DifferentialForm, f: Polynomial, chart: int) -> ChartForm:
-    """Solve df /\ r = eta for a top form eta in the chart variables.
+    r"""Solve df /\ r = eta for a top form eta in the chart variables.
 
     Same construction as the Leray residue, applied to the single
     coefficient of eta; the sign is fixed by the defining identity, which
@@ -197,7 +206,7 @@ def residue_division(eta: DifferentialForm, f: Polynomial, chart: int) -> ChartF
 def cover_pullback_form(
     g: Polynomial, s: Polynomial, w: WeightSystem
 ) -> DifferentialForm:
-    """Pullback of (g/s) dz0 /\ ... /\ dzn under the cover z_i -> z_i^(l*a_i).
+    r"""Pullback of (g/s) dz0 /\ ... /\ dzn under the cover z_i -> z_i^(l*a_i).
 
     The result is (prod l*a_i) * (cover g / cover s) * prod z_i^(l*a_i - 1)
     times the volume form; the constant prod l*a_i is exactly the Jacobian
@@ -214,9 +223,7 @@ def cover_pullback_form(
             f"{s} divides {g}; the pole is removable and the residue vanishes"
         )
     omega = volume_form(s.variables, RationalFunction(g, s))
-    gens = Polynomial.generators(s.variables)
-    images = [z**e for z, e in zip(gens, w.cover_exponents)]
-    return pullback(omega, images)
+    return pullback(omega, _cover_images(s.variables, w))
 
 
 def _chart_names(count: int, start: int = 0) -> Tuple[str, ...]:
@@ -234,6 +241,14 @@ def blowup_pullback(
     should be decomposed first and the components processed independently.
     Returns the pure u_0 exponent of the du_0 part together with the split.
     """
+    _, exponent, split = _blowup(omega_hat, w)
+    return exponent, split
+
+
+def _blowup(
+    omega_hat: DifferentialForm, w: WeightSystem
+) -> Tuple[DifferentialForm, Optional[int], SplitResult]:
+    """blowup_pullback, also returning the pulled back form it splits."""
     variables = omega_hat.variables
     if len(variables) != len(w):
         raise ResidueError(
@@ -255,22 +270,25 @@ def blowup_pullback(
             (0 if coeff.num.is_zero else coeff.num.total_degree()),
             (0 if coeff.den.is_constant else coeff.den.total_degree()),
         )
-    chart_vars = _chart_names(len(variables))
-    gens = Polynomial.generators(chart_vars)
-    images = [gens[0]] + [gens[0] * gens[i] for i in range(1, len(gens))]
+    n = len(variables)
+    chart_vars = _chart_names(n)
+    images = [
+        Polynomial.single_term(chart_vars, [1] + [int(j == i) for j in range(1, n)])
+        for i in range(n)
+    ]
     blown = pullback(omega_hat, images)
     split = split_du0(blown, 0)
-    top = tuple(range(len(variables)))
+    top = tuple(range(n))
     if split.exponent is not None and set(omega_hat.components) == {top}:
         # structural cross-check: for a top form with homogeneous
         # numerator/denominator the pure power is forced by the degrees
         p, q = degrees[top]
-        expected = p + (len(variables) - 1) - q
+        expected = p + (n - 1) - q
         if split.exponent != expected:
             raise ResidueError(
                 f"blow-up exponent {split.exponent} contradicts degree count {expected}"
             )
-    return split.exponent, split
+    return blown, split.exponent, split
 
 
 def blowup_exponent_formula(alpha: Fraction, w: WeightSystem) -> int:
@@ -292,7 +310,7 @@ def _tilde(p: Polynomial, chart_vars: Tuple[str, ...]) -> Polynomial:
 
 
 def second_residue(g: Polynomial, s: Polynomial, w: WeightSystem) -> ChartForm:
-    """The symbolic obstruction form r2' in the 0-th blow-up chart.
+    r"""The symbolic obstruction form r2' in the 0-th blow-up chart.
 
     Extracts the weight-(1 - kappa) component g_a of g; when it vanishes the
     zero chart form is returned.  Otherwise r2' solves
@@ -335,9 +353,9 @@ def second_residue(g: Polynomial, s: Polynomial, w: WeightSystem) -> ChartForm:
             "chart equation divides the obstruction numerator; the numerator "
             "weight is not below the equation weight"
         )
-    factor = Polynomial.constant(chart_vars, w.jacobian_constant)
-    for name, exponent in zip(chart_vars, w.cover_exponents[1:]):
-        factor = factor * Polynomial.variable(chart_vars, name) ** (exponent - 1)
+    factor = Polynomial.single_term(
+        chart_vars, [e - 1 for e in w.cover_exponents[1:]], w.jacobian_constant
+    )
     rhs = volume_form(chart_vars, g_chart * factor)
     chart = _first_usable_chart(s_chart)
     if chart is None:
@@ -496,11 +514,7 @@ def analyze(
         )
 
     if blow_source is not None:
-        exponent, split = blowup_pullback(blow_source, w)
-        blowup_form = pullback(
-            blow_source,
-            _blowup_images(len(s.variables)),
-        )
+        blowup_form, exponent, split = _blowup(blow_source, w)
         alpha = valuation_poly(blow_input_g, w)
         if exponent is not None and exponent != blowup_exponent_formula(alpha, w):
             raise ResidueError("blow-up exponent disagrees with the weight formula")
@@ -511,10 +525,19 @@ def analyze(
     if not criterion.holds:
         second = second_residue(g, s, w)
 
-    verdict = lift_verdict(
-        [(s, g, w)],
-        second_residue_provider=lambda *_args: second,
+    # the single-point verdict that lift_verdict would assemble
+    holds = criterion.holds
+    point = PointDecision(
+        s=s,
+        g=g,
+        weight_system=w,
+        kind=LIFTS if holds else OBSTRUCTED if nonzero else INCONCLUSIVE,
+        criterion=criterion,
+        obstruction_nonzero=None if holds else nonzero,
+        obstruction_component=None if holds else component,
+        second_residue=second if nonzero else None,
     )
+    verdict = LiftVerdict(kind=point.kind, points=(point,))
     return ResidueReport(
         s=s,
         g=g,
@@ -533,8 +556,3 @@ def analyze(
         warnings=tuple(warnings),
     )
 
-
-def _blowup_images(count: int):
-    chart_vars = _chart_names(count)
-    gens = Polynomial.generators(chart_vars)
-    return [gens[0]] + [gens[0] * gens[i] for i in range(1, count)]

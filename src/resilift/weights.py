@@ -1,4 +1,4 @@
-"""Weight systems, valuations, and quasihomogeneous decompositions.
+r"""Weight systems, valuations, and quasihomogeneous decompositions.
 
 A weight system assigns a positive rational weight to each variable.  The
 valuation of a monomial is its weighted degree, and the valuation of a

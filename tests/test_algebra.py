@@ -144,6 +144,29 @@ def test_power():
         (x + y) ** -1
 
 
+def test_power_matches_repeated_products(monkeypatch):
+    x, y, z = Polynomial.generators(XYZ)
+    p = x * 2 - y * z + z**2 * F(1, 3) + 5
+    assert len(p.terms) == 4
+    expected = Polynomial.one(XYZ)
+    for n in range(10):
+        assert p**n == expected
+        expected = expected * p
+    # square-and-multiply: one product per set bit, one squaring per later bit
+    calls = []
+    original = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    for n in range(1, 10):
+        calls.clear()
+        p**n
+        assert len(calls) == bin(n).count("1") + n.bit_length() - 1
+
+
 def test_monomial_ordering_and_content():
     p = Polynomial.single_term(XYZ, (2, 1, 0), F(3)) + Polynomial.single_term(
         XYZ, (2, 3, 0), F(5)

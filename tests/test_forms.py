@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from resilift.algebra import ArityError, Polynomial, RationalFunction
+from resilift.algebra import (
+    ArityError,
+    Polynomial,
+    RationalFunction,
+    ZeroDenominatorError,
+)
 from resilift.forms import (
     DifferentialForm,
     SplitError,
@@ -130,6 +135,94 @@ def test_pullback_morphism_random():
         assert pullback(exterior_derivative(p), images) == exterior_derivative(
             pullback(p, images)
         )
+
+
+def _expand_substitute(p, images):
+    """Term by term, each power of an image built by repeated products."""
+    acc = Polynomial.zero(images[0].variables)
+    for mono, coeff in p.terms.items():
+        term = Polynomial.constant(images[0].variables, coeff)
+        for image, e in zip(images, mono.exponents):
+            for _ in range(e):
+                term = term * image
+        acc = acc + term
+    return acc
+
+
+def _expand_pullback(form, images):
+    """Substituted coefficients wedged with d of each image, one factor at a time."""
+    target = images[0].variables
+    out = DifferentialForm.zero(target)
+    for key, coeff in form.components.items():
+        den = _expand_substitute(coeff.den, images)
+        if den.is_zero:
+            return None
+        piece = DifferentialForm(
+            target, {(): RationalFunction(_expand_substitute(coeff.num, images), den)}
+        )
+        for i in key:
+            piece = wedge(piece, d_of_polynomial(images[i]))
+        out = out + piece
+    return out
+
+
+def random_monomial_map(rng, target):
+    images = []
+    for _ in XYZ:
+        if rng.random() < 0.2:
+            exponents = (0,) * len(target)  # a zero row, as z_0 -> 1
+        else:
+            exponents = tuple(rng.randint(0, 2) for _ in target)
+        coeff = rng.choice([F(1), F(-1), F(rng.randint(-5, 5) or 2, rng.randint(1, 4))])
+        images.append(Polynomial.single_term(target, exponents, coeff))
+    return images
+
+
+def test_monomial_map_substitute_and_pullback_match_expansion():
+    rng = random.Random(23)
+    cancelled = 0
+    degrees = set()
+    for case in range(60):
+        target = UV if case % 2 else ("u0", "u1", "u2")
+        images = random_monomial_map(rng, target)
+        p = random_polynomial(rng, max_terms=4)
+        if case % 5 == 0:
+            # y takes x's image, so p(x, y, z) - p(y, x, z) maps to zero
+            images[1] = images[0]
+            x, y, z = Polynomial.generators(XYZ)
+            p = p - p.substitute([y, x, z])
+        expected = _expand_substitute(p, images)
+        image = p.substitute(images)
+        assert image == expected
+        assert list(image.terms) == list(expected.terms)
+        if not p.is_zero and image.is_zero:
+            cancelled += 1
+
+        forms = []
+        for _ in range(2):
+            form = DifferentialForm.zero(XYZ)
+            for _ in range(rng.randint(1, 3)):
+                key = tuple(sorted(rng.sample(range(3), rng.randint(0, 3))))
+                den = random_polynomial(rng, max_degree=2, max_terms=2)
+                if den.is_zero:
+                    den = Polynomial.one(XYZ)
+                coeff = RationalFunction(random_polynomial(rng, max_degree=2), den)
+                form = form + basis_form(XYZ, key, coeff)
+            forms.append(form)
+        pulled = []
+        for form in forms + [wedge(*forms)]:
+            expected = _expand_pullback(form, images)
+            if expected is None:
+                with pytest.raises(ZeroDenominatorError):
+                    pullback(form, images)
+                continue
+            degrees.update(len(key) for key in form.components)
+            pulled.append(pullback(form, images))
+            assert pulled[-1] == expected
+        if len(pulled) == 3:
+            assert pulled[2] == wedge(pulled[0], pulled[1])
+    assert cancelled > 0
+    assert degrees == {0, 1, 2, 3}
 
 
 def test_split_du0_and_recombine():

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from resilift.algebra import Polynomial, RationalFunction
-from resilift.criteria import INCONCLUSIVE, LIFTS, OBSTRUCTED, RemovablePoleError
+from resilift.criteria import (
+    INCONCLUSIVE,
+    LIFTS,
+    OBSTRUCTED,
+    RemovablePoleError,
+    lift_verdict,
+)
 from resilift.forms import (
     DifferentialForm,
     d_of_polynomial,
@@ -212,6 +218,27 @@ def test_analyze_mixed_numerator_warns(fermat, wf):
         report.second_residue.relation,
     )
     assert report.verify()
+
+
+def test_analyze_verdict_matches_lift_verdict(fermat, wf):
+    z0 = Polynomial.variable(Z, "z0")
+    x, y, z = Polynomial.generators(Z)
+    cases = [
+        (fermat, Polynomial.one(Z), wf),
+        (fermat, z0, wf),
+        (fermat, Polynomial.one(Z) + z0, wf),
+        (x**3 + y**3 + z**4, x, WeightSystem(("1/3", "1/3", "1/4"))),
+    ]
+    for s, g, w in cases:
+        report = analyze(s, g, w)
+        reference = lift_verdict(
+            [(s, g, w)], second_residue_provider=lambda *_: report.second_residue
+        )
+        assert report.verdict == reference
+        if g != Polynomial.one(Z) + z0:  # a pure numerator blows up its cover form
+            assert (report.blowup_exponent, report.blowup_split) == blowup_pullback(
+                report.cover_form, w
+            )
 
 
 def test_analyze_rescale_path():

@@ -9,15 +9,30 @@ division probes, and scale the denominator so its leading coefficient under
 the graded lexicographic order is 1.  Equality of rational functions is
 decided by cross multiplication, never by comparing representations.
 
+The public constructors `Monomial(...)` and `Polynomial(...)` check what
+they are given.  Results built inside this module (ring operations,
+derivatives, substitutions, division, the monomial shift of a rational
+function) are already clean, so they are wrapped without a second check:
+products and sums accumulate on plain exponent tuples and become `Monomial`
+keys only at the end, and a `Monomial` computes its degree and hash once,
+when it is built.  Division by one polynomial takes terms from a graded-lex
+max-heap, in the same order a scan for the largest term would.  `divides`
+first compares exponent ranges: for p = q*d the Newton polytope of p is the
+Minkowski sum of those of q and d (Ostrowski), so along each variable and
+along the total degree the range max - min of p is that of q plus that of d,
+and a smaller range of p proves d does not divide p without dividing.
+
 Scalar prefactors that are not rational (2*pi*i and friends) never enter
 this layer; higher layers carry them as symbolic tags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from operator import add, neg, sub
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -45,27 +60,45 @@ def _coerce_fraction(value) -> Fraction:
     raise AlgebraError(f"expected an integer or Fraction coefficient, got {value!r}")
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """An exponent vector; variable names live on the owning polynomial."""
+    """An exponent vector; variable names live on the owning polynomial.
 
-    exponents: Tuple[int, ...]
+    Immutable.  The degree and the hash are computed once, when it is built.
+    """
 
-    def __post_init__(self):
-        exps = tuple(self.exponents)
+    __slots__ = ("exponents", "degree", "_hash")
+
+    def __init__(self, exponents: Sequence[int]):
+        exps = tuple(exponents)
         for e in exps:
             if not isinstance(e, int) or e < 0:
                 raise AlgebraError(f"exponents must be nonnegative integers: {exps}")
-        object.__setattr__(self, "exponents", exps)
+        _fill_monomial(self, exps)
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is Monomial:
+            return self.exponents == other.exponents
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Monomial(exponents={self.exponents!r})"
+
+    def __reduce__(self):
+        return Monomial, (self.exponents,)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if len(self.exponents) != len(other.exponents):
             raise ArityError("cannot multiply monomials of different arity")
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
+        return _monomial(tuple(map(add, self.exponents, other.exponents)))
 
     def divides(self, other: "Monomial") -> bool:
         if len(self.exponents) != len(other.exponents):
@@ -75,12 +108,31 @@ class Monomial:
     def __truediv__(self, other: "Monomial") -> "Monomial":
         if not other.divides(self):
             raise AlgebraError(f"{other.exponents} does not divide {self.exponents}")
-        return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
+        return _monomial(tuple(map(sub, self.exponents, other.exponents)))
 
     def weighted_degree(self, weights: Sequence[Fraction]) -> Fraction:
         if len(weights) != len(self.exponents):
             raise ArityError("weight vector arity does not match monomial")
         return sum((w * e for w, e in zip(weights, self.exponents)), _ZERO)
+
+
+# slot setters that bypass the immutability guard, for construction only
+_set_exponents = Monomial.exponents.__set__
+_set_degree = Monomial.degree.__set__
+_set_hash = Monomial._hash.__set__
+
+
+def _fill_monomial(mono: Monomial, exps: Tuple[int, ...]) -> None:
+    _set_exponents(mono, exps)
+    _set_degree(mono, sum(exps))
+    _set_hash(mono, hash(exps))
+
+
+def _monomial(exps: Tuple[int, ...]) -> Monomial:
+    """A Monomial from a tuple already known to hold nonnegative ints."""
+    mono = object.__new__(Monomial)
+    _fill_monomial(mono, exps)
+    return mono
 
 
 def _grlex_key(mono: Monomial):
@@ -106,13 +158,9 @@ class Polynomial:
                 )
             coeff = _coerce_fraction(value)
             if coeff:
-                total = clean.get(mono, _ZERO) + coeff
-                if total:
-                    clean[mono] = total
-                else:
-                    clean.pop(mono, None)
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", clean)
+                _accumulate(clean, mono, coeff)
+        _set_variables(self, variables)
+        _set_terms(self, clean)
 
     def __setattr__(self, name, value):
         raise AlgebraError("Polynomial instances are immutable")
@@ -157,7 +205,9 @@ class Polynomial:
 
     @property
     def is_constant(self) -> bool:
-        return all(m.degree == 0 for m in self.terms)
+        # distinct monomials: at most one term can have degree 0
+        terms = self.terms
+        return not terms or (len(terms) == 1 and next(iter(terms)).degree == 0)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -181,14 +231,8 @@ class Polynomial:
     def monomial_content(self) -> Monomial:
         """Componentwise minimum exponent vector over all terms."""
         if self.is_zero:
-            return Monomial((0,) * len(self.variables))
-        mins = None
-        for mono in self.terms:
-            if mins is None:
-                mins = list(mono.exponents)
-            else:
-                mins = [min(a, b) for a, b in zip(mins, mono.exponents)]
-        return Monomial(tuple(mins))
+            return _monomial((0,) * len(self.variables))
+        return _monomial(tuple(map(min, zip(*(m.exponents for m in self.terms)))))
 
     def uses_variable(self, index: int) -> bool:
         return any(m.exponents[index] for m in self.terms)
@@ -209,50 +253,54 @@ class Polynomial:
             return Polynomial.constant(self.variables, other)
         return None
 
+    def _merge(self, other: "Polynomial", negate: bool) -> "Polynomial":
+        """self + other, or self - other, in the term order of self then other."""
+        merged = dict(self.terms)
+        for mono, coeff in other.terms.items():
+            _accumulate(merged, mono, -coeff if negate else coeff)
+        return _polynomial(self.variables, merged)
+
     def __add__(self, other):
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            total = merged.get(mono, _ZERO) + coeff
-            if total:
-                merged[mono] = total
-            else:
-                merged.pop(mono, None)
-        return Polynomial(self.variables, merged)
+        return self._merge(other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.variables, {m: -c for m, c in self.terms.items()})
+        return _polynomial(self.variables, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._merge(other, True)
 
     def __rsub__(self, other):
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._merge(self, True)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
+            if other == 0:
+                return _polynomial(self.variables, {})
+            return _polynomial(self.variables, {m: c * other for m, c in self.terms.items()})
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
-        out: Dict[Monomial, Fraction] = {}
+        # accumulate on exponent tuples, whose hash and equality run in C
+        out: Dict[Tuple[int, ...], Fraction] = {}
+        right = [(m.exponents, c) for m, c in other.terms.items()]
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = m1 * m2
-                total = out.get(key, _ZERO) + c1 * c2
-                if total:
-                    out[key] = total
-                else:
-                    out.pop(key, None)
-        return Polynomial(self.variables, out)
+            e1 = m1.exponents
+            for e2, c2 in right:
+                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+        return _polynomial(self.variables, {_monomial(e): c for e, c in out.items()})
 
     __rmul__ = __mul__
 
@@ -285,20 +333,14 @@ class Polynomial:
         index = self.variables.index(var) if isinstance(var, str) else var
         if not 0 <= index < len(self.variables):
             raise ArityError(f"variable index {index} out of range for {self.variables}")
+        # lowering one exponent is injective on the terms it keeps: no collisions
         out: Dict[Monomial, Fraction] = {}
         for mono, coeff in self.terms.items():
-            e = mono.exponents[index]
-            if e == 0:
-                continue
-            dropped = list(mono.exponents)
-            dropped[index] = e - 1
-            key = Monomial(tuple(dropped))
-            total = out.get(key, _ZERO) + coeff * e
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        return Polynomial(self.variables, out)
+            exps = mono.exponents
+            e = exps[index]
+            if e:
+                out[_monomial(exps[:index] + (e - 1,) + exps[index + 1 :])] = coeff * e
+        return _polynomial(self.variables, out)
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Replace the i-th variable by images[i]; images share one variable tuple."""
@@ -345,7 +387,7 @@ class Polynomial:
             row = tuple((j, m) for j, m in enumerate(mono.exponents) if m)
             rows.append((row, None if c == 1 else c))
         width = len(target)
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Tuple[int, ...], Fraction] = {}
         for mono, coeff in self.terms.items():
             exps = [0] * width
             for e, (row, c) in zip(mono.exponents, rows):
@@ -355,13 +397,9 @@ class Polynomial:
                     exps[j] += e * m
                 if c is not None:
                     coeff = coeff * c**e
-            key = Monomial(tuple(exps))
-            total = out.get(key, _ZERO) + coeff
-            if total:
-                out[key] = total
-            else:
-                out.pop(key, None)
-        return Polynomial(target, out)
+            if coeff:
+                _accumulate(out, tuple(exps), coeff)
+        return _polynomial(target, {_monomial(e): c for e, c in out.items()})
 
     def evaluate(self, values: Sequence):
         if len(values) != len(self.variables):
@@ -416,9 +454,32 @@ class Polynomial:
         return f"Polynomial({str(self)!r}, variables={self.variables})"
 
 
-def partial_derivative(p: Polynomial, var_index: int) -> Polynomial:
-    """Exact partial derivative with respect to the variable at var_index."""
-    return p.partial_derivative(var_index)
+def _polynomial(variables: Tuple[str, ...], terms: Dict[Monomial, Fraction]) -> Polynomial:
+    """Wrap a clean {Monomial: nonzero Fraction} dict over checked variables.
+
+    The trusted counterpart of Polynomial(...), for results built here.
+    """
+    poly = object.__new__(Polynomial)
+    _set_variables(poly, variables)
+    _set_terms(poly, terms)
+    return poly
+
+
+_set_variables = Polynomial.variables.__set__
+_set_terms = Polynomial.terms.__set__
+
+
+def _accumulate(out: dict, key, value: Fraction) -> None:
+    """out[key] += value, dropping the key when the sum is zero."""
+    old = out.get(key)
+    if old is None:
+        out[key] = value
+    else:
+        total = old + value
+        if total:
+            out[key] = total
+        else:
+            del out[key]
 
 
 def divide_with_remainder(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Polynomial]:
@@ -432,33 +493,66 @@ def divide_with_remainder(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Pol
         raise AlgebraError("division by the zero polynomial")
     p._check_same_variables(d)
     lead_mono, lead_coeff = d.leading_term()
-    work: Dict[Monomial, Fraction] = dict(p.terms)
+    lead = lead_mono.exponents
+    rest = [(m.exponents, c) for m, c in d.terms.items() if m is not lead_mono]
+    # work maps exponent tuples to coefficients; the heap holds (-degree,
+    # negated exponents, exponents) for every key inserted into work, so its
+    # top is the graded-lex largest term.  Every term a step adds is below the
+    # one it removes, so an entry whose key has left work is stale for good.
+    work: Dict[Tuple[int, ...], Fraction] = {}
+    heap = []
+    for mono, coeff in p.terms.items():
+        work[mono.exponents] = coeff
+        heap.append((-mono.degree, tuple(map(neg, mono.exponents)), mono.exponents))
+    heapq.heapify(heap)
     quot: Dict[Monomial, Fraction] = {}
     rem: Dict[Monomial, Fraction] = {}
-    while work:
-        mono = max(work, key=_grlex_key)
-        coeff = work[mono]
-        if lead_mono.divides(mono):
-            qm = mono / lead_mono
-            qc = coeff / lead_coeff
-            quot[qm] = quot.get(qm, _ZERO) + qc
-            for dm, dc in d.terms.items():
-                key = qm * dm
-                total = work.get(key, _ZERO) - qc * dc
+    while heap:
+        exps = heapq.heappop(heap)[2]
+        coeff = work.pop(exps, None)
+        if coeff is None:
+            continue
+        qe = tuple(map(sub, exps, lead))
+        if min(qe, default=0) < 0:
+            rem[_monomial(exps)] = coeff
+            continue
+        qc = coeff / lead_coeff
+        quot[_monomial(qe)] = qc
+        for de, dc in rest:
+            key = tuple(map(add, qe, de))
+            old = work.get(key)
+            if old is None:
+                work[key] = -qc * dc
+                heapq.heappush(heap, (-sum(key), tuple(map(neg, key)), key))
+            else:
+                total = old - qc * dc
                 if total:
                     work[key] = total
                 else:
-                    work.pop(key, None)
-        else:
-            rem[mono] = coeff
-            del work[mono]
-    return Polynomial(p.variables, quot), Polynomial(p.variables, rem)
+                    del work[key]
+    return _polynomial(p.variables, quot), _polynomial(p.variables, rem)
+
+
+def _exponent_ranges(p: Polynomial) -> Tuple[int, ...]:
+    """max - min of each exponent and of the total degree over the terms of p."""
+    columns = list(zip(*(m.exponents for m in p.terms)))
+    columns.append([m.degree for m in p.terms])
+    return tuple(max(col) - min(col) for col in columns)
 
 
 def divides(d: Polynomial, p: Polynomial) -> Tuple[bool, Polynomial]:
-    """Exact divisibility probe; returns (True, quotient) or (False, None)."""
+    """Exact divisibility probe; returns (True, quotient) or (False, None).
+
+    A nonzero p = q*d has every exponent range of d plus that of q (see the
+    module docstring), so a range of p below that of d rejects at once.
+    """
     if d.is_zero:
         raise AlgebraError("divisibility by the zero polynomial is undefined")
+    p._check_same_variables(d)
+    if p.terms and any(
+        rp < rd for rp, rd in zip(_exponent_ranges(p), _exponent_ranges(d))
+    ):
+        return False, None
     q, r = divide_with_remainder(p, d)
     if r.is_zero:
         return True, q
@@ -523,11 +617,10 @@ class RationalFunction:
             return num, Polynomial.one(num.variables)
         ncont = num.monomial_content().exponents
         dcont = den.monomial_content().exponents
-        common = tuple(min(a, b) for a, b in zip(ncont, dcont))
+        common = tuple(map(min, ncont, dcont))
         if any(common):
-            shift = Monomial(common)
-            num = Polynomial(num.variables, {m / shift: c for m, c in num.terms.items()})
-            den = Polynomial(den.variables, {m / shift: c for m, c in den.terms.items()})
+            num = _shift_down(num, common)
+            den = _shift_down(den, common)
         if not den.is_constant:
             ok, q = divides(den, num)
             if ok:
@@ -538,8 +631,10 @@ class RationalFunction:
                     # num/den = 1/q, up to the constant normalization below
                     num, den = Polynomial.one(num.variables), q
         if den.is_constant:
-            num = num * (1 / den.constant_value())
-            den = Polynomial.one(num.variables)
+            value = den.constant_value()
+            if value != 1:
+                num = num * (1 / value)
+                den = Polynomial.one(num.variables)
         else:
             lead = den.leading_term()[1]
             if lead != 1:
@@ -561,7 +656,8 @@ class RationalFunction:
 
     @property
     def is_polynomial(self) -> bool:
-        return self.den == Polynomial.one(self.den.variables)
+        # a normalized constant denominator is 1
+        return self.den.is_constant
 
     def as_polynomial(self) -> Polynomial:
         if not self.is_polynomial:
@@ -676,6 +772,14 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({str(self)!r})"
+
+
+def _shift_down(p: Polynomial, shift: Tuple[int, ...]) -> Polynomial:
+    """p / u^shift for a shift below the monomial content of p."""
+    return _polynomial(
+        p.variables,
+        {_monomial(tuple(map(sub, m.exponents, shift))): c for m, c in p.terms.items()},
+    )
 
 
 def rational_with_variables(rf: RationalFunction, variables: Sequence[str]) -> RationalFunction:

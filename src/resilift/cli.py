@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -382,6 +381,9 @@ def cmd_batch(directory: str) -> int:
     if not jobs:
         print(f"error: no job files in {directory}", file=sys.stderr)
         return INPUT_ERROR
+    # imported here: multiprocessing costs every other command import time
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(len(jobs), os.cpu_count() or 1, 8)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_run_batch_job, jobs))

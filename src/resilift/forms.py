@@ -141,12 +141,6 @@ class DifferentialForm:
     def degrees(self) -> Tuple[int, ...]:
         return tuple(sorted({len(key) for key in self.components}))
 
-    def degree_part(self, p: int) -> "DifferentialForm":
-        return DifferentialForm(
-            self.variables,
-            {k: c for k, c in self.components.items() if len(k) == p},
-        )
-
     def pure_degree(self) -> Optional[int]:
         """The single degree of a degree-homogeneous nonzero form, else None."""
         degs = self.degrees()

@@ -7,6 +7,9 @@ predictor-corrector marching with Newton projection, and integrates a
 style error estimate.  Open ends whose integrand visibly decays get a
 fitted power-law tail out to chart infinity, which is how an improper
 integral over an unbounded real branch is finished off.
+
+numpy is imported by the functions that use it, on first numerical use, so
+importing this module (and the command line front end) does not load it.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
-
-import numpy as np
 
 from .algebra import Polynomial, RationalFunction
 
@@ -55,10 +56,12 @@ class CurveTrace:
     """
 
     curve: Polynomial
-    samples: np.ndarray
+    samples: "numpy.ndarray"
     closed: bool
 
     def __post_init__(self):
+        import numpy as np
+
         pts = np.asarray(self.samples, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise NumericError("trace needs at least two points in two coordinates")
@@ -114,6 +117,8 @@ def trace_real_curve(
     out of steps leaves it open.  The samples are ordered along the curve
     with the seed in the middle (or first, for a closed loop).
     """
+    import numpy as np
+
     if len(f.variables) != 2:
         raise NumericError(f"tracing needs two variables, got {f.variables}")
     h = float(Fraction(step)) if not isinstance(step, float) else step
@@ -355,6 +360,8 @@ def integrate_1form(form, trace: CurveTrace) -> IntegralResult:
     core = _chord_sum(P, Q, f1, f2, pts)
     coarse_pts = pts[::2]
     if (len(pts) - 1) % 2:
+        import numpy as np
+
         coarse_pts = np.vstack([coarse_pts, pts[-1]])
     coarse = _chord_sum(P, Q, f1, f2, coarse_pts)
     estimate = abs(core - coarse)

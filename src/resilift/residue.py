@@ -331,14 +331,29 @@ def second_residue(g: Polynomial, s: Polynomial, w: WeightSystem) -> ChartForm:
     if len(s.variables) < 2:
         raise ResidueError("the blow-up chart needs at least two variables")
     require_normalized(s, w)
-    decision = lift_criterion(w)
-    if decision.holds:
+    return _second_residue(s, w, lift_criterion(w), *obstruction_component(s, g, w))
+
+
+def _second_residue(
+    s: Polynomial,
+    w: WeightSystem,
+    criterion: CriterionDecision,
+    nonzero: bool,
+    component: Polynomial,
+) -> ChartForm:
+    """second_residue from the criterion and obstruction component in hand.
+
+    For s normalized under w, criterion is lift_criterion(w) and
+    (nonzero, component) is obstruction_component(s, g, w).
+    """
+    if len(s.variables) < 2:
+        raise ResidueError("the blow-up chart needs at least two variables")
+    if criterion.holds:
         raise ResidueError(
             "the lift criterion holds for these weights; no obstruction exists"
         )
     chart_vars = _chart_names(len(s.variables) - 1, start=1)
     s_chart = _tilde(cover_image(s, w), chart_vars)
-    nonzero, component = obstruction_component(s, g, w)
     if not nonzero:
         return ChartForm(
             chart_index=None,
@@ -523,7 +538,7 @@ def analyze(
 
     second = None
     if not criterion.holds:
-        second = second_residue(g, s, w)
+        second = _second_residue(s, w, criterion, nonzero, component)
 
     # the single-point verdict that lift_verdict would assemble
     holds = criterion.holds

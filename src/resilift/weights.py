@@ -73,6 +73,12 @@ class WeightSystem:
             if w <= 0:
                 raise WeightError(f"weights must be positive rationals, got {w}")
         object.__setattr__(self, "weights", coerced)
+        # derived once, in integers over the common denominator l
+        l = math.lcm(*(w.denominator for w in coerced))
+        exponents = tuple(w.numerator * (l // w.denominator) for w in coerced)
+        object.__setattr__(self, "_cover_order", l)
+        object.__setattr__(self, "_cover_exponents", exponents)
+        object.__setattr__(self, "_kappa", Fraction(sum(exponents), l))
 
     def __len__(self):
         return len(self.weights)
@@ -80,17 +86,16 @@ class WeightSystem:
     @property
     def kappa(self) -> Fraction:
         """Total weight: the valuation of the volume form."""
-        return sum(self.weights, Fraction(0))
+        return self._kappa
 
     @property
     def cover_order(self) -> int:
         """Least positive integer l with l * a_i integral for every weight."""
-        return math.lcm(*(w.denominator for w in self.weights))
+        return self._cover_order
 
     @property
     def cover_exponents(self) -> Tuple[int, ...]:
-        l = self.cover_order
-        return tuple(int(l * w) for w in self.weights)
+        return self._cover_exponents
 
     @property
     def jacobian_constant(self) -> Fraction:
@@ -111,13 +116,6 @@ class QuasiDecomposition:
 
     def component(self, weight: Fraction) -> Optional[Polynomial]:
         return self.components.get(Fraction(weight))
-
-    def total(self) -> Polynomial:
-        parts = list(self.components.values())
-        acc = parts[0]
-        for p in parts[1:]:
-            acc = acc + p
-        return acc
 
 
 def _check_arity(p: Polynomial, w: WeightSystem):

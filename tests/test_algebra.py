@@ -84,6 +84,8 @@ def test_arity_mismatch_rejected():
         x + u
     with pytest.raises(ArityError):
         x * u
+    with pytest.raises(ArityError):
+        divides(u**2 + 1, x)
 
 
 def test_division_with_remainder():
@@ -108,6 +110,105 @@ def test_divides_probe():
     assert q is None
     ok, q = divides(x, Polynomial.zero(XYZ))
     assert ok
+
+
+def _scan_division(p, d):
+    """The textbook division loop, rescanning for the largest term each step."""
+    lead, lead_coeff = d.leading_term()
+    work = dict(p.terms)
+    quot, rem = {}, {}
+    while work:
+        mono = max(work, key=lambda m: (m.degree, m.exponents))
+        coeff = work.pop(mono)
+        if not lead.divides(mono):
+            rem[mono] = coeff
+            continue
+        qm, qc = mono / lead, coeff / lead_coeff
+        quot[qm] = qc
+        for dm, dc in d.terms.items():
+            if dm != lead:
+                key = qm * dm
+                total = work.get(key, F(0)) - qc * dc
+                if total:
+                    work[key] = total
+                else:
+                    work.pop(key, None)
+    return quot, rem
+
+
+def _cancelling_product(rng):
+    """q and d with q*d = a^k - b^k: almost every term of the product cancels."""
+    a = tuple(rng.randint(0, 2) for _ in XYZ)
+    b = tuple(rng.randint(0, 2) for _ in XYZ)
+    while b == a:
+        b = tuple(rng.randint(0, 2) for _ in XYZ)
+    k = rng.randint(2, 4)
+    c = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+    d = Polynomial(XYZ, {a: c, b: -c})
+    q = Polynomial(
+        XYZ,
+        {tuple(i * ea + (k - 1 - i) * eb for ea, eb in zip(a, b)): 1 for i in range(k)},
+    )
+    return q, d
+
+
+def test_division_matches_sympy_random():
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(XYZ)
+
+    def to_sympy(poly):
+        return sum(
+            (
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.prod([g**e for g, e in zip(gens, m.exponents)])
+                for m, c in poly.terms.items()
+            ),
+            sympy.Integer(0),
+        )
+
+    def from_sympy(expr):
+        terms = sympy.Poly(expr, *gens).as_dict() if expr != 0 else {}
+        return Polynomial(XYZ, {e: F(int(c.p), int(c.q)) for e, c in terms.items()})
+
+    rng = random.Random(20211)
+    rejected = 0
+    for case in range(240):
+        d = random_polynomial(rng, max_degree=3, max_terms=3)
+        if d.is_zero:
+            continue
+        if case % 3 == 0:
+            q = random_polynomial(rng, max_degree=3, max_terms=4)
+            p = q * d
+        elif case % 3 == 1:
+            q, d = _cancelling_product(rng)
+            p = q * d
+            assert len(p.terms) == 2
+        else:
+            q = None
+            p = random_polynomial(rng, max_degree=5, max_terms=6)
+        quot, rem = divide_with_remainder(p, d)
+        assert quot * d + rem == p
+        sq, sr = sympy.reduced(to_sympy(p), [to_sympy(d)], *gens, order="grlex")
+        assert quot == from_sympy(sq[0] if sq else 0)  # sympy gives [] for p = 0
+        assert rem == from_sympy(sr)
+        # the heap visits terms in the order of a full rescan: same dicts, same order
+        ref_quot, ref_rem = _scan_division(p, d)
+        assert list(quot.terms.items()) == list(ref_quot.items())
+        assert list(rem.terms.items()) == list(ref_rem.items())
+        ok, found = divides(d, p)
+        assert ok == rem.is_zero
+        if q is not None:
+            assert ok and found == q
+        elif not ok:
+            assert found is None
+            rejected += 1
+        # internally built keys behave like checked ones
+        for poly in (p, quot, rem):
+            for mono in poly.terms:
+                twin = Monomial(mono.exponents)
+                assert mono == twin and hash(mono) == hash(twin)
+                assert twin in poly.terms and mono.degree == twin.degree
+    assert rejected > 0
 
 
 def test_with_variables_rename_and_extend():

@@ -559,7 +559,7 @@ def divides(d: Polynomial, p: Polynomial) -> Tuple[bool, Polynomial]:
     return False, None
 
 
-def with_variables(p: Polynomial, variables: Sequence[str]) -> Polynomial:
+def poly_with_variables(p: Polynomial, variables: Sequence[str]) -> Polynomial:
     """Re-express p over another variable tuple.
 
     New variables may be added freely; a variable may be dropped only if no
@@ -784,5 +784,5 @@ def _shift_down(p: Polynomial, shift: Tuple[int, ...]) -> Polynomial:
 
 def rational_with_variables(rf: RationalFunction, variables: Sequence[str]) -> RationalFunction:
     return RationalFunction(
-        with_variables(rf.num, variables), with_variables(rf.den, variables)
+        poly_with_variables(rf.num, variables), poly_with_variables(rf.den, variables)
     )

@@ -120,16 +120,19 @@ def load_job(path) -> JobSpec:
             + ", ".join(sorted(_KNOWN_OPTIONS))
         )
     steps = options.get("quadrature_steps", DEFAULT_MAX_STEPS)
-    if not isinstance(steps, int) or steps < 1:
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
         raise JobError("quadrature_steps must be a positive integer")
+    flags = {key: options.get(key, False) for key in ("rescale_weights", "emit_trace")}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise JobError(f"{key} must be true or false, got {value!r}")
     return JobSpec(
         variables=variables,
         weights=weights,
         s=s,
         g=g,
-        rescale_weights=bool(options.get("rescale_weights", False)),
-        emit_trace=bool(options.get("emit_trace", False)),
         quadrature_steps=steps,
+        **flags,
     )
 
 

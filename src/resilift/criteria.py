@@ -1,4 +1,4 @@
-r"""Liftability criterion, nonpositive spectrum, and verdict assembly.
+r"""Liftability criterion, nonpositive spectrum, and the obstruction component.
 
 The computable core of the analysis.  For a weight system with total weight
 kappa, the residue class of (g/s) dz0 /\ ... /\ dzn lifts whenever no
@@ -10,8 +10,8 @@ exactly.  The criterion holds precisely when 0 is absent from that list.
 
 When the criterion fails, the weight-(1 - kappa) component of the
 numerator decides between a certified obstruction and an inconclusive
-verdict; the symbolic obstruction form itself is produced by the residue
-module and attached here.
+verdict.  The residue module's analyze assembles that verdict and produces
+the symbolic obstruction form.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Polynomial, divides
+from .algebra import Polynomial
 from .weights import (
     WeightSystem,
     is_quasihomogeneous,
@@ -38,7 +38,7 @@ UNKNOWN = "UNKNOWN"
 
 
 class CriteriaError(Exception):
-    """Base error for verdict assembly."""
+    """Base error for the criterion and verdict stages."""
 
 
 class RemovablePoleError(CriteriaError):
@@ -68,23 +68,10 @@ class SpectrumEntry:
 
 
 @dataclass(frozen=True)
-class PointDecision:
-    """Everything decided for one singular point (s, g, w)."""
-
-    s: Polynomial
-    g: Polynomial
-    weight_system: WeightSystem
-    kind: str
-    criterion: CriterionDecision
-    obstruction_nonzero: Optional[bool]
-    obstruction_component: Optional[Polynomial]
-    second_residue: Optional[object]
-
-
-@dataclass(frozen=True)
 class LiftVerdict:
+    """LIFTS, OBSTRUCTED or INCONCLUSIVE for one singular point."""
+
     kind: str
-    points: Tuple[PointDecision, ...]
 
 
 def lift_criterion(w: WeightSystem) -> CriterionDecision:
@@ -220,70 +207,3 @@ def pullback_singularity_probe(s: Polynomial, w: WeightSystem) -> ProbeReport:
             missing.append(name)
     status = ISOLATED if not missing else UNKNOWN
     return ProbeReport(status=status, pullback=image, missing=tuple(missing))
-
-
-def _default_second_residue(s: Polynomial, g: Polynomial, w: WeightSystem):
-    from .residue import second_residue
-
-    return second_residue(g, s, w)
-
-
-def lift_verdict(
-    points: Iterable[Tuple[Polynomial, Polynomial, WeightSystem]],
-    second_residue_provider: Optional[Callable] = None,
-) -> LiftVerdict:
-    """Assemble the overall verdict from per-point criterion decisions.
-
-    Each point is (s, g, w) with s quasihomogeneous of valuation 1 and a
-    genuine first order pole (s must not divide g).  A point where the
-    criterion fails is obstructed when the weight-(1 - kappa) component of
-    g is nonzero, in which case the symbolic second residue form is
-    attached; with a zero component the point, and then the whole verdict,
-    is inconclusive.  Any obstructed point makes the verdict OBSTRUCTED;
-    otherwise any inconclusive point makes it INCONCLUSIVE; otherwise LIFTS.
-    """
-    provider = second_residue_provider or _default_second_residue
-    decisions = []
-    for s, g, w in points:
-        require_normalized(s, w)
-        if divides(s, g)[0]:
-            raise RemovablePoleError(
-                f"{s} divides {g}; the form has no pole along the hypersurface"
-            )
-        decision = lift_criterion(w)
-        if decision.holds:
-            decisions.append(
-                PointDecision(
-                    s=s,
-                    g=g,
-                    weight_system=w,
-                    kind=LIFTS,
-                    criterion=decision,
-                    obstruction_nonzero=None,
-                    obstruction_component=None,
-                    second_residue=None,
-                )
-            )
-            continue
-        nonzero, component = obstruction_component(s, g, w)
-        attached = provider(s, g, w) if nonzero else None
-        decisions.append(
-            PointDecision(
-                s=s,
-                g=g,
-                weight_system=w,
-                kind=OBSTRUCTED if nonzero else INCONCLUSIVE,
-                criterion=decision,
-                obstruction_nonzero=nonzero,
-                obstruction_component=component,
-                second_residue=attached,
-            )
-        )
-    kinds = {d.kind for d in decisions}
-    if OBSTRUCTED in kinds:
-        overall = OBSTRUCTED
-    elif INCONCLUSIVE in kinds:
-        overall = INCONCLUSIVE
-    else:
-        overall = LIFTS
-    return LiftVerdict(kind=overall, points=tuple(decisions))

@@ -36,6 +36,7 @@ from .algebra import (
     ZeroDenominatorError,
     divide_with_remainder,
     divides,
+    poly_with_variables,
     rational_with_variables,
 )
 
@@ -510,7 +511,7 @@ def recombine_split(
     return wedge(du * power, split.du0_factor) + split.remainder
 
 
-def with_variables(
+def form_with_variables(
     a: DifferentialForm, variables: Sequence[str]
 ) -> DifferentialForm:
     """Re-express a form over another variable tuple, by variable name.
@@ -617,8 +618,6 @@ def scalar_mod_hypersurface(
 
 
 def _embed(f: Polynomial, variables: Tuple[str, ...]) -> Polynomial:
-    from .algebra import with_variables as poly_with_variables
-
     if f.variables == variables:
         return f
     return poly_with_variables(f, variables)

@@ -12,10 +12,12 @@ there the coefficient of du_0/u_0, the second residue, is the symbolic
 obstruction to lifting: it is recovered by dividing the chart volume form
 by d of the chart equation.
 
-The cover, the blow-up chart and the evaluation at z_0 = 1 are all monomial
-maps, so every pullback and substitution here runs by exponent arithmetic
-(see forms.pullback); its cost follows the term count, not l.  analyze
-computes the blow-up form once and takes the split from it.
+The cover, the blow-up chart and the cover followed by the evaluation at
+z_0 = 1 are all monomial maps, so every pullback and substitution here runs
+by exponent arithmetic (see forms.pullback); its cost follows the term count,
+not l.  analyze makes one pass: it checks its inputs once, decomposes the
+numerator once, builds the cover images once, and computes each stage once.
+The public stage functions keep their own input checks for direct callers.
 
 Everything here is exact.  The scalar prefactor 1/(2*pi*i) that
 conventionally normalizes residues is carried as a symbolic tag on the
@@ -24,15 +26,15 @@ report; no decision made by this module depends on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .algebra import (
     Polynomial,
     RationalFunction,
     divides,
-    with_variables,
+    poly_with_variables,
 )
 from .criteria import (
     INCONCLUSIVE,
@@ -40,11 +42,9 @@ from .criteria import (
     OBSTRUCTED,
     CriterionDecision,
     LiftVerdict,
-    PointDecision,
     RemovablePoleError,
     SpectrumEntry,
     _cover_images,
-    cover_image,
     lift_criterion,
     obstruction_component,
     spectrum_nonpositive,
@@ -66,7 +66,6 @@ from .weights import (
     quasi_decompose,
     require_normalized,
     rescaled_weights,
-    valuation_poly,
 )
 
 PREFACTOR_TAG = "1/(2*pi*i)"
@@ -117,7 +116,7 @@ class ChartForm:
     def __post_init__(self):
         if self.relation.is_zero:
             raise ResidueError("chart relation polynomial is zero")
-        relation = with_variables(self.relation, self.form.variables)
+        relation = poly_with_variables(self.relation, self.form.variables)
         for coeff in self.form.components.values():
             if not coeff.den.is_constant and divides(relation, coeff.den)[0]:
                 raise ResidueError(
@@ -145,10 +144,20 @@ def leray_residue(g: Polynomial, s: Polynomial, chart: int) -> ChartForm:
         raise ResidueError(f"chart index {chart} out of range for {s.variables}")
     if s.is_zero:
         raise ResidueError("hypersurface equation is zero")
+    _require_pole(s, g)
+    return _leray_residue(g, s, chart)
+
+
+def _require_pole(s: Polynomial, g: Polynomial):
     if divides(s, g)[0]:
         raise RemovablePoleError(
             f"{s} divides {g}; the pole is removable and the residue vanishes"
         )
+
+
+def _leray_residue(g: Polynomial, s: Polynomial, chart: int) -> ChartForm:
+    """leray_residue for a chart in range and s not dividing g."""
+    n = len(s.variables)
     s_chart = s.partial_derivative(chart)
     if s_chart.is_zero:
         usable = _first_usable_chart(s)
@@ -176,7 +185,7 @@ def residue_division(eta: DifferentialForm, f: Polynomial, chart: int) -> ChartF
     is re-verified exactly before returning.
     """
     variables = eta.variables
-    f = with_variables(f, variables)
+    f = poly_with_variables(f, variables)
     n = len(variables)
     if not 0 <= chart < n:
         raise ResidueError(f"chart index {chart} out of range for {variables}")
@@ -218,12 +227,15 @@ def cover_pullback_form(
             f"weight system size {len(w)} does not match variables {s.variables}"
         )
     require_normalized(s, w)
-    if divides(s, g)[0]:
-        raise RemovablePoleError(
-            f"{s} divides {g}; the pole is removable and the residue vanishes"
-        )
-    omega = volume_form(s.variables, RationalFunction(g, s))
-    return pullback(omega, _cover_images(s.variables, w))
+    _require_pole(s, g)
+    return _cover_pullback(g, s, _cover_images(s.variables, w))
+
+
+def _cover_pullback(
+    g: Polynomial, s: Polynomial, images: Sequence[Polynomial]
+) -> DifferentialForm:
+    """cover_pullback_form through the cover images already built."""
+    return pullback(volume_form(s.variables, RationalFunction(g, s)), images)
 
 
 def _chart_names(count: int, start: int = 0) -> Tuple[str, ...]:
@@ -301,14 +313,6 @@ def blowup_exponent_formula(alpha: Fraction, w: WeightSystem) -> int:
     return int(value)
 
 
-def _tilde(p: Polynomial, chart_vars: Tuple[str, ...]) -> Polynomial:
-    """Evaluate the first variable at 1: p(1, u_1, ..., u_n) over chart_vars."""
-    images = [Polynomial.one(chart_vars)] + [
-        Polynomial.variable(chart_vars, name) for name in chart_vars
-    ]
-    return p.substitute(images)
-
-
 def second_residue(g: Polynomial, s: Polynomial, w: WeightSystem) -> ChartForm:
     r"""The symbolic obstruction form r2' in the 0-th blow-up chart.
 
@@ -328,39 +332,38 @@ def second_residue(g: Polynomial, s: Polynomial, w: WeightSystem) -> ChartForm:
         raise ResidueError(
             f"weight system size {len(w)} does not match variables {s.variables}"
         )
-    if len(s.variables) < 2:
-        raise ResidueError("the blow-up chart needs at least two variables")
-    require_normalized(s, w)
-    return _second_residue(s, w, lift_criterion(w), *obstruction_component(s, g, w))
-
-
-def _second_residue(
-    s: Polynomial,
-    w: WeightSystem,
-    criterion: CriterionDecision,
-    nonzero: bool,
-    component: Polynomial,
-) -> ChartForm:
-    """second_residue from the criterion and obstruction component in hand.
-
-    For s normalized under w, criterion is lift_criterion(w) and
-    (nonzero, component) is obstruction_component(s, g, w).
-    """
-    if len(s.variables) < 2:
-        raise ResidueError("the blow-up chart needs at least two variables")
-    if criterion.holds:
+    nonzero, component = obstruction_component(s, g, w)
+    if lift_criterion(w).holds:
         raise ResidueError(
             "the lift criterion holds for these weights; no obstruction exists"
         )
-    chart_vars = _chart_names(len(s.variables) - 1, start=1)
-    s_chart = _tilde(cover_image(s, w), chart_vars)
-    if not nonzero:
+    return _second_residue(s, w, component if nonzero else None)
+
+
+def _second_residue(
+    s: Polynomial, w: WeightSystem, component: Optional[Polynomial]
+) -> ChartForm:
+    """second_residue for s normalized under w and a failing criterion.
+
+    component is the nonzero weight-(1 - kappa) component of g, or None.
+    """
+    n = len(s.variables)
+    if n < 2:
+        raise ResidueError("the blow-up chart needs at least two variables")
+    chart_vars = _chart_names(n - 1, start=1)
+    # the cover followed by z_0 = 1: z_0 -> 1, z_i -> u_i^(l*a_i)
+    chart_map = [
+        Polynomial.single_term(chart_vars, [e if j == i else 0 for j in range(1, n)])
+        for i, e in enumerate(w.cover_exponents)
+    ]
+    s_chart = s.substitute(chart_map)
+    if component is None:
         return ChartForm(
             chart_index=None,
             relation=s_chart,
             form=DifferentialForm.zero(chart_vars),
         )
-    g_chart = _tilde(cover_image(component, w), chart_vars)
+    g_chart = component.substitute(chart_map)
     if g_chart.is_zero:
         raise ResidueError("chart image of the obstruction component vanished")
     if divides(s_chart, g_chart)[0]:
@@ -491,68 +494,47 @@ def analyze(
                 f"weights rescaled by 1/{weight} to normalize the equation"
             )
     require_normalized(s, w)
-    if divides(s, g)[0]:
-        raise RemovablePoleError(
-            f"{s} divides {g}; the pole is removable and the residue vanishes"
-        )
+    _require_pole(s, g)
     criterion = lift_criterion(w)
     spectrum = spectrum_nonpositive(w)
-    chart = _first_usable_chart(s)
-    leray = leray_residue(g, s, chart)
-    cover_form = cover_pullback_form(g, s, w)
+    leray = _leray_residue(g, s, _first_usable_chart(s))
+    images = _cover_images(s.variables, w)
+    cover_form = _cover_pullback(g, s, images)
 
-    nonzero, component = obstruction_component(s, g, w)
-    pure, g_weight = is_quasihomogeneous(g, w)
-    if pure:
-        blow_input_g = g
+    # g is nonzero, since s does not divide it
+    alpha = 1 - w.kappa
+    components = quasi_decompose(g, w).components
+    component = components.get(alpha)
+    if len(components) == 1:  # pure: the cover form itself is blown up
+        (g_weight,) = components
         blow_source = cover_form
-    elif nonzero:
-        alpha = 1 - w.kappa
-        spectators = sorted(
-            weight
-            for weight in quasi_decompose(g, w).components
-            if weight != alpha
-        )
-        listed = ", ".join(str(x) for x in spectators)
+    elif component is not None:
+        listed = ", ".join(str(x) for x in sorted(components) if x != alpha)
         warnings.append(
             f"numerator mixes weights; the weight-{alpha} component drives "
             f"the blow-up and obstruction stages, spectator weights: {listed}"
         )
-        blow_input_g = component
-        blow_source = cover_pullback_form(component, s, w)
+        g_weight = alpha
+        blow_source = _cover_pullback(component, s, images)
     else:
-        blow_input_g = None
         blow_source = None
         warnings.append(
             "numerator mixes weights and has no component of weight "
-            f"{1 - w.kappa}; blow-up stage skipped"
+            f"{alpha}; blow-up stage skipped"
         )
 
     if blow_source is not None:
         blowup_form, exponent, split = _blowup(blow_source, w)
-        alpha = valuation_poly(blow_input_g, w)
-        if exponent is not None and exponent != blowup_exponent_formula(alpha, w):
+        if exponent is not None and exponent != blowup_exponent_formula(g_weight, w):
             raise ResidueError("blow-up exponent disagrees with the weight formula")
     else:
         exponent, split, blowup_form = None, None, None
 
-    second = None
-    if not criterion.holds:
-        second = _second_residue(s, w, criterion, nonzero, component)
-
-    # the single-point verdict that lift_verdict would assemble
-    holds = criterion.holds
-    point = PointDecision(
-        s=s,
-        g=g,
-        weight_system=w,
-        kind=LIFTS if holds else OBSTRUCTED if nonzero else INCONCLUSIVE,
-        criterion=criterion,
-        obstruction_nonzero=None if holds else nonzero,
-        obstruction_component=None if holds else component,
-        second_residue=second if nonzero else None,
-    )
-    verdict = LiftVerdict(kind=point.kind, points=(point,))
+    if criterion.holds:
+        kind, second = LIFTS, None
+    else:
+        kind = INCONCLUSIVE if component is None else OBSTRUCTED
+        second = _second_residue(s, w, component)
     return ResidueReport(
         s=s,
         g=g,
@@ -565,9 +547,10 @@ def analyze(
         blowup_exponent=exponent,
         blowup_split=split,
         second_residue=second,
-        obstruction_nonzero=nonzero,
-        obstruction_component=component,
-        verdict=verdict,
+        obstruction_nonzero=component is not None,
+        obstruction_component=(
+            Polynomial.zero(g.variables) if component is None else component
+        ),
+        verdict=LiftVerdict(kind),
         warnings=tuple(warnings),
     )
-

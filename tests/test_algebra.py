@@ -14,7 +14,7 @@ from resilift.algebra import (
     ZeroDenominatorError,
     divide_with_remainder,
     divides,
-    with_variables,
+    poly_with_variables,
 )
 
 F = Fraction
@@ -214,12 +214,12 @@ def test_division_matches_sympy_random():
 def test_with_variables_rename_and_extend():
     x, y, z = Polynomial.generators(XYZ)
     p = x**2 + y
-    moved = with_variables(p, ("x", "y", "z", "w"))
+    moved = poly_with_variables(p, ("x", "y", "z", "w"))
     assert moved.variables == ("x", "y", "z", "w")
-    back = with_variables(moved, XYZ)
+    back = poly_with_variables(moved, XYZ)
     assert back == p
     with pytest.raises(AlgebraError):
-        with_variables(x * z, ("x", "y"))
+        poly_with_variables(x * z, ("x", "y"))
 
 
 def test_ring_laws_random():

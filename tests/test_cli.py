@@ -56,6 +56,14 @@ def test_load_job_rejects_bad_input(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(JobError):
         load_job(str(bad))
+    # options take JSON booleans and integers, not strings or booleans
+    for options in (
+        {"rescale_weights": "false"},
+        {"emit_trace": 0},
+        {"quadrature_steps": True},
+    ):
+        with pytest.raises(JobError):
+            load_job(write_job(tmp_path, {**LIFTS_JOB, "options": options}))
 
 
 def test_analyze_exit_codes(tmp_path, capsys):
@@ -70,6 +78,9 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert main(["analyze", write_job(tmp_path, broken)]) == 2
     err = capsys.readouterr().err
     assert "error" in err
+    removable = dict(FERMAT_JOB, g="z0*(z0^3 + z1^3 + z2^3)")
+    assert main(["analyze", write_job(tmp_path, removable)]) == 2
+    assert "removable" in capsys.readouterr().err
 
 
 def test_analyze_report_schema(tmp_path, capsys):

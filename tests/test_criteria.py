@@ -1,5 +1,5 @@
-"""The lift criterion, the nonpositive spectrum, the cover image, and
-verdict aggregation."""
+"""The lift criterion, the nonpositive spectrum, the cover image, and the
+verdict analyze assigns."""
 
 import random
 from fractions import Fraction
@@ -17,11 +17,11 @@ from resilift.criteria import (
     RemovablePoleError,
     cover_image,
     lift_criterion,
-    lift_verdict,
     obstruction_component,
     pullback_singularity_probe,
     spectrum_nonpositive,
 )
+from resilift.residue import analyze
 from resilift.weights import WeightSystem
 
 F = Fraction
@@ -127,38 +127,15 @@ def test_obstruction_component_picks_weight_part():
 def test_lift_verdict_kinds():
     x, y, z = Polynomial.generators(XYZ)
     w3 = WeightSystem(("1/3", "1/3", "1/4"))
-    verdict = lift_verdict([(x**3 + y**3 + z**4, x, w3)])
-    assert verdict.kind == LIFTS
-    assert verdict.points[0].kind == LIFTS
+    assert analyze(x**3 + y**3 + z**4, x, w3).verdict.kind == LIFTS
 
     variables = ("z0", "z1", "z2")
     z0, z1, z2 = Polynomial.generators(variables)
     s = z0**3 + z1**3 + z2**3
     wf = WeightSystem(("1/3", "1/3", "1/3"))
     one = Polynomial.one(variables)
-    verdict = lift_verdict([(s, one, wf)])
-    assert verdict.kind == OBSTRUCTED
-    verdict = lift_verdict([(s, z0, wf)])
-    assert verdict.kind == INCONCLUSIVE
-
-
-def test_lift_verdict_aggregates_worst_case():
-    x, y, z = Polynomial.generators(XYZ)
-    variables = ("z0", "z1", "z2")
-    z0, z1, z2 = Polynomial.generators(variables)
-    s_f = z0**3 + z1**3 + z2**3
-    wf = WeightSystem(("1/3", "1/3", "1/3"))
-    w3 = WeightSystem(("1/3", "1/3", "1/4"))
-    points = [
-        (x**3 + y**3 + z**4, x, w3),
-        (s_f, Polynomial.one(variables), wf),
-    ]
-    assert lift_verdict(points).kind == OBSTRUCTED
-    points = [
-        (x**3 + y**3 + z**4, x, w3),
-        (s_f, z0, wf),
-    ]
-    assert lift_verdict(points).kind == INCONCLUSIVE
+    assert analyze(s, one, wf).verdict.kind == OBSTRUCTED
+    assert analyze(s, z0, wf).verdict.kind == INCONCLUSIVE
 
 
 def test_lift_verdict_removable_pole():
@@ -167,21 +144,4 @@ def test_lift_verdict_removable_pole():
     s = z0**3 + z1**3 + z2**3
     wf = WeightSystem(("1/3", "1/3", "1/3"))
     with pytest.raises(RemovablePoleError):
-        lift_verdict([(s, s * z0, wf)])
-
-
-def test_lift_verdict_with_residue_provider():
-    variables = ("z0", "z1", "z2")
-    z0, z1, z2 = Polynomial.generators(variables)
-    s = z0**3 + z1**3 + z2**3
-    wf = WeightSystem(("1/3", "1/3", "1/3"))
-    from resilift.residue import second_residue
-
-    verdict = lift_verdict(
-        [(s, Polynomial.one(variables), wf)],
-        second_residue_provider=lambda s_, g_, w_: second_residue(g_, s_, w_),
-    )
-    assert verdict.kind == OBSTRUCTED
-    attached = verdict.points[0].second_residue
-    assert attached is not None
-    assert not attached.form.is_zero
+        analyze(s, s * z0, wf)

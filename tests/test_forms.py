@@ -20,13 +20,13 @@ from resilift.forms import (
     differential,
     equal_mod_hypersurface,
     exterior_derivative,
+    form_with_variables,
     pullback,
     recombine_split,
     scalar_mod_hypersurface,
     split_du0,
     volume_form,
     wedge,
-    with_variables,
 )
 
 F = Fraction
@@ -275,12 +275,12 @@ def test_scalar_mod_hypersurface_none_when_unrelated():
 def test_with_variables_remaps_by_name():
     x, y, z = Polynomial.generators(XYZ)
     form = basis_form(XYZ, (0, 2), x * z)
-    wide = with_variables(form, ("w", "x", "y", "z"))
+    wide = form_with_variables(form, ("w", "x", "y", "z"))
     assert wide.variables == ("w", "x", "y", "z")
-    back = with_variables(wide, XYZ)
+    back = form_with_variables(wide, XYZ)
     assert back == form
     with pytest.raises(ArityError):
-        with_variables(form, ("x", "y"))
+        form_with_variables(form, ("x", "y"))
 
 
 def test_str_round_trip_shapes():

@@ -1,6 +1,7 @@
 """The symbolic pipeline: Leray residue, branched cover pullback, blow-up
 split, second residue, and the aggregate report."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from resilift.criteria import (
     LIFTS,
     OBSTRUCTED,
     RemovablePoleError,
-    lift_verdict,
 )
 from resilift.forms import (
     DifferentialForm,
@@ -220,25 +220,48 @@ def test_analyze_mixed_numerator_warns(fermat, wf):
     assert report.verify()
 
 
+def _weighted_degrees(g, w):
+    return {
+        sum((e * a for e, a in zip(m.exponents, w.weights)), F(0)) for m in g.terms
+    }
+
+
+def _brute_verdict(g, w):
+    """LIFTS unless some k >= 0 has kappa + sum k_i a_i = 1, found by
+    enumeration; then OBSTRUCTED exactly when a term of g has weighted
+    degree 1 - kappa."""
+    target = 1 - sum(w.weights, F(0))
+    ranges = [range(int(target / a) + 1) if target >= 0 else () for a in w.weights]
+    if not any(
+        sum((c * a for c, a in zip(k, w.weights)), F(0)) == target
+        for k in itertools.product(*ranges)
+    ):
+        return LIFTS
+    return OBSTRUCTED if target in _weighted_degrees(g, w) else INCONCLUSIVE
+
+
 def test_analyze_verdict_matches_lift_verdict(fermat, wf):
-    z0 = Polynomial.variable(Z, "z0")
-    x, y, z = Polynomial.generators(Z)
+    z0, z1, z2 = Polynomial.generators(Z)
+    bp = WeightSystem(("1/3", "1/4", "1/6"))  # witness k = (0, 1, 0)
     cases = [
         (fermat, Polynomial.one(Z), wf),
         (fermat, z0, wf),
         (fermat, Polynomial.one(Z) + z0, wf),
-        (x**3 + y**3 + z**4, x, WeightSystem(("1/3", "1/3", "1/4"))),
+        (fermat, z0 + z0 * z1, wf),
+        (z0**3 + z1**3 + z2**4, z0, WeightSystem(("1/3", "1/3", "1/4"))),
+        (z0**3 + z1**4 + z2**6, z2**3, bp),
+        (z0**3 + z1**4 + z2**6, z1 + z2**3, bp),
     ]
+    kinds = set()
     for s, g, w in cases:
         report = analyze(s, g, w)
-        reference = lift_verdict(
-            [(s, g, w)], second_residue_provider=lambda *_: report.second_residue
-        )
-        assert report.verdict == reference
-        if g != Polynomial.one(Z) + z0:  # a pure numerator blows up its cover form
+        assert report.verdict.kind == _brute_verdict(g, w)
+        kinds.add(report.verdict.kind)
+        if len(_weighted_degrees(g, w)) == 1:  # a pure numerator blows up its cover form
             assert (report.blowup_exponent, report.blowup_split) == blowup_pullback(
                 report.cover_form, w
             )
+    assert kinds == {LIFTS, OBSTRUCTED, INCONCLUSIVE}
 
 
 def test_analyze_rescale_path():

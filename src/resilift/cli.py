@@ -35,6 +35,7 @@ from .criteria import (
     pullback_singularity_probe,
     spectrum_nonpositive,
 )
+from . import numint
 from .numint import CurveTrace, export_trace_csv, integrate_1form, trace_real_curve
 from .parser import ParseError, parse_polynomial
 from .residue import ResidueReport, analyze
@@ -267,9 +268,7 @@ def cmd_pullback(job: JobSpec) -> int:
 def _find_seed(curve: Polynomial) -> Tuple[float, float]:
     """Grid-scan for a real point of a plane curve, then bisect onto it."""
 
-    def value(a: float, b: float) -> float:
-        return float(curve.evaluate((a, b)))
-
+    value = numint._float_evaluator(curve)
     anchors = [k * 0.25 for k in range(-12, 13)]
     anchors.sort(key=abs)
     grid = [k * 0.05 for k in range(-80, 81)]

@@ -8,6 +8,16 @@ style error estimate.  Open ends whose integrand visibly decays get a
 fitted power-law tail out to chart infinity, which is how an improper
 integral over an unbounded real branch is finished off.
 
+Floats enter through ``_float_evaluator``, which compiles a polynomial or a
+rational function once into a plain Python function of its variables: each
+coefficient becomes a float once, and the terms run in the order and with
+the operations of ``Polynomial.evaluate``.  The compiled functions are bit
+for bit ``float(p.evaluate(values))``, errors included, so tracing and
+quadrature give the values they gave through the exact ``evaluate``, at a
+fraction of its cost.  A trace compiles its curve and gradient once, an
+integral its coefficients and their denominators once; nothing is cached
+across calls.
+
 numpy is imported by the functions that use it, on first numerical use, so
 importing this module (and the command line front end) does not load it.
 """
@@ -47,6 +57,51 @@ class DivergenceError(NumericError):
     """The integrand has a non-integrable singularity on the trace."""
 
 
+def _float_evaluator(p):
+    """Compile a Polynomial or RationalFunction to a float function of its variables.
+
+    The result equals ``float(p.evaluate(values))`` bit for bit, for float and
+    numpy.float64 values alike, and raises the same ZeroDivisionError or
+    OverflowError: ``Fraction * float`` is ``float(coeff) * float``, so the
+    coefficients are converted once and the same products and sums run in
+    the same order.  A constant over a constant divides exactly before
+    rounding, as ``RationalFunction.evaluate`` does.  A coefficient beyond
+    the float range keeps the exact path, whose calls raise OverflowError.
+    """
+    coeffs = []
+
+    def terms(poly) -> str:
+        out = []
+        for mono, coeff in poly.terms.items():
+            factors = [f"c{len(coeffs)}"]
+            coeffs.append(float(coeff))
+            factors += [f"v{i}**{e}" for i, e in enumerate(mono.exponents) if e]
+            out.append(" * ".join(factors))
+        if not out:
+            out.append(f"c{len(coeffs)}")
+            coeffs.append(0.0)
+        return " + ".join(out)
+
+    try:
+        if not isinstance(p, RationalFunction):
+            body = terms(p)
+        elif p.num.is_constant and p.den.is_constant:
+            coeffs.append(float(p.num.constant_value() / p.den.constant_value()))
+            body = "c0"
+        else:
+            body = f"({terms(p.num)}) / ({terms(p.den)})"
+    except OverflowError:
+        return lambda *values: float(p.evaluate(values))
+    names = ", ".join(f"c{k}" for k in range(len(coeffs)))
+    args = ", ".join(f"v{i}" for i in range(len(p.variables)))
+    namespace = {}
+    exec(
+        f"def bind({names}):\n def evaluate({args}):\n  return {body}\n return evaluate",
+        namespace,
+    )
+    return namespace["bind"](*coeffs)
+
+
 @dataclass(frozen=True, eq=False)
 class CurveTrace:
     """An ordered polyline of points on {curve = 0}; closed when it loops.
@@ -66,9 +121,10 @@ class CurveTrace:
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise NumericError("trace needs at least two points in two coordinates")
         object.__setattr__(self, "samples", pts)
-        for u in pts:
-            if abs(self.curve.evaluate((float(u[0]), float(u[1])))) >= SAMPLE_TOL:
-                raise NumericError(f"trace sample {tuple(u)} is off the curve")
+        curve = _float_evaluator(self.curve)
+        for k, (x, y) in enumerate(pts.tolist()):
+            if abs(curve(x, y)) >= SAMPLE_TOL:
+                raise NumericError(f"trace sample {tuple(pts[k])} is off the curve")
 
     def __len__(self):
         return len(self.samples)
@@ -77,15 +133,18 @@ class CurveTrace:
         return CurveTrace(self.curve, self.samples[::-1].copy(), self.closed)
 
 
-def _gradient(f1: Polynomial, f2: Polynomial, point) -> Tuple[float, float]:
-    return (float(f1.evaluate(point)), float(f2.evaluate(point)))
+def _gradient(f1, f2, point) -> Tuple[float, float]:
+    return (float(f1(*point)), float(f2(*point)))
 
 
 def _newton_project(f, f1, f2, point, max_iter: int = 30):
-    """Pull a nearby point onto {f = 0} along the gradient direction."""
+    """Pull a nearby point onto {f = 0} along the gradient direction.
+
+    f, f1 and f2 are compiled evaluators of the curve and its partials.
+    """
     x, y = float(point[0]), float(point[1])
     for _ in range(max_iter):
-        value = float(f.evaluate((x, y)))
+        value = f(x, y)
         if abs(value) < NEWTON_TOL:
             return x, y
         gx, gy = _gradient(f1, f2, (x, y))
@@ -94,7 +153,7 @@ def _newton_project(f, f1, f2, point, max_iter: int = 30):
             return None
         x -= value * gx / norm2
         y -= value * gy / norm2
-    if abs(float(f.evaluate((x, y)))) < NEWTON_TOL:
+    if abs(f(x, y)) < NEWTON_TOL:
         return x, y
     return None
 
@@ -126,9 +185,10 @@ def trace_real_curve(
         raise NumericError("step must be positive")
     if max_steps < 1:
         raise NumericError("max_steps must be at least 1")
-    f1 = f.partial_derivative(0)
-    f2 = f.partial_derivative(1)
-    start = _newton_project(f, f1, f2, (float(seed[0]), float(seed[1])))
+    curve = _float_evaluator(f)
+    f1 = _float_evaluator(f.partial_derivative(0))
+    f2 = _float_evaluator(f.partial_derivative(1))
+    start = _newton_project(curve, f1, f2, (float(seed[0]), float(seed[1])))
     if start is None:
         raise SeedingError(f"seed {tuple(seed)} did not project onto the curve")
     tangent0 = _unit_tangent(f1, f2, start)
@@ -141,7 +201,7 @@ def trace_real_curve(
         tx, ty = tangent0[0] * direction, tangent0[1] * direction
         closed = False
         for count in range(max_steps):
-            nxt = _newton_project(f, f1, f2, (x + h * tx, y + h * ty))
+            nxt = _newton_project(curve, f1, f2, (x + h * tx, y + h * ty))
             if nxt is None:
                 raise SingularPointError(
                     f"Newton correction failed near ({x:.6g}, {y:.6g})"
@@ -198,13 +258,35 @@ def _form_coefficients(form, variables):
     return form.component((0,)), form.component((1,))
 
 
-def _eval_rf(rf: RationalFunction, x: float, y: float) -> float:
-    # plain-float inputs so a vanishing denominator raises instead of
-    # producing a numpy inf with a warning
-    return float(rf.evaluate((float(x), float(y))))
+class _Integrand:
+    """P du1 + Q du2 on one trace, with everything compiled once.
+
+    The coefficients are called with plain floats, so a vanishing
+    denominator raises instead of producing a numpy inf with a warning.
+    ``den_at[k][i]`` is |dens[k]| at sample i, filled when a chord first
+    needs it: a sample shared by two chords, or by the core and the coarse
+    pass, is evaluated once, and in the order the chords reach it.
+    """
+
+    def __init__(self, form, trace: CurveTrace):
+        P, Q = _form_coefficients(form, trace.curve.variables)
+        self.P, self.Q = _float_evaluator(P), _float_evaluator(Q)
+        self.f1 = _float_evaluator(trace.curve.partial_derivative(0))
+        self.f2 = _float_evaluator(trace.curve.partial_derivative(1))
+        self.dens = [_float_evaluator(c.den) for c in (P, Q) if not c.den.is_constant]
+        self.rows = trace.samples
+        self.points = trace.samples.tolist()
+        self.den_at = [[None] * len(self.points) for _ in self.dens]
+
+    def slope_form(self, c: int, x, y, gx: float, gy: float) -> float:
+        """P + Q du2/du1 (c = 0) or Q + P du1/du2 (c = 1) on the curve."""
+        x, y = float(x), float(y)
+        if c == 0:
+            return self.P(x, y) + self.Q(x, y) * (-gx / gy)
+        return self.Q(x, y) + self.P(x, y) * (-gy / gx)
 
 
-def _regularized_chord(P, Q, f1, f2, a, b):
+def _regularized_chord(ig: _Integrand, a, b):
     """On-curve endpoint value of the chord integral via the implicit slope.
 
     In the chord's dominant coordinate, P du1 + Q du2 reduces on the curve
@@ -220,16 +302,11 @@ def _regularized_chord(P, Q, f1, f2, a, b):
         return 0.0
     values = []
     for x, y in (a, b):
-        gx, gy = _gradient(f1, f2, (x, y))
+        gx, gy = _gradient(ig.f1, ig.f2, (x, y))
+        if (gy if c == 0 else gx) == 0:
+            continue
         try:
-            if c == 0:
-                if gy == 0:
-                    continue
-                value = _eval_rf(P, x, y) + _eval_rf(Q, x, y) * (-gx / gy)
-            else:
-                if gx == 0:
-                    continue
-                value = _eval_rf(Q, x, y) + _eval_rf(P, x, y) * (-gy / gx)
+            value = ig.slope_form(c, x, y, gx, gy)
             if math.isfinite(value):
                 values.append(value)
         except (ZeroDivisionError, OverflowError):
@@ -239,42 +316,43 @@ def _regularized_chord(P, Q, f1, f2, a, b):
     return sum(values) / len(values) * dc
 
 
-def _near_pole(dens, a, b) -> bool:
-    """True when some coefficient denominator collapses across the chord."""
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    probes = [(float(a[0]), float(a[1])), (float(b[0]), float(b[1]))]
-    probes += [(float(a[0] + t * dx), float(a[1] + t * dy)) for t in _GAUSS_NODES]
-    for den in dens:
-        magnitudes = [abs(float(den.evaluate(p))) for p in probes]
-        if min(magnitudes) < 0.05 * max(magnitudes[0], magnitudes[1]):
+def _near_pole(ig: _Integrand, i: int, j: int, nodes) -> bool:
+    """True when some coefficient denominator collapses across chord i -> j."""
+    for den, at in zip(ig.dens, ig.den_at):
+        for k in (i, j):
+            if at[k] is None:
+                at[k] = abs(den(*ig.points[k]))
+        ends = (at[i], at[j])
+        magnitudes = [*ends, *(abs(den(x, y)) for x, y in nodes)]
+        if min(magnitudes) < 0.05 * max(ends):
             return True
-        if magnitudes[0] == 0.0 or magnitudes[1] == 0.0:
+        if ends[0] == 0.0 or ends[1] == 0.0:
             return True
     return False
 
 
-def _chord_sum(P, Q, f1, f2, pts) -> float:
-    """Composite two-point Gauss quadrature of P du1 + Q du2 over the chords.
+def _chord_sum(ig: _Integrand, index) -> float:
+    """Composite two-point Gauss quadrature of P du1 + Q du2 over the chords
+    between consecutive samples of ``index``.
 
     A chord whose interior nodes stray near a coefficient pole that the
     curve itself passes through integrably is replaced by the on-curve
     regularized endpoint value; everywhere else plain Gauss keeps exact
     forms telescoping around closed traces.
     """
-    dens = [c.den for c in (P, Q) if not c.den.is_constant]
+    P, Q, points = ig.P, ig.Q, ig.points
     total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        dx, dy = b[0] - a[0], b[1] - a[1]
-        if dens and _near_pole(dens, a, b):
+    for i, j in zip(index, index[1:]):
+        (ax, ay), (bx, by) = points[i], points[j]
+        dx, dy = bx - ax, by - ay
+        nodes = [(ax + t * dx, ay + t * dy) for t in _GAUSS_NODES]
+        if ig.dens and _near_pole(ig, i, j, nodes):
             gauss = None
         else:
             try:
                 gauss = 0.0
-                for t in _GAUSS_NODES:
-                    x, y = a[0] + t * dx, a[1] + t * dy
-                    gauss += 0.5 * (
-                        _eval_rf(P, x, y) * dx + _eval_rf(Q, x, y) * dy
-                    )
+                for x, y in nodes:
+                    gauss += 0.5 * (P(x, y) * dx + Q(x, y) * dy)
                 if not math.isfinite(gauss):
                     gauss = None
             except (ZeroDivisionError, OverflowError):
@@ -282,16 +360,16 @@ def _chord_sum(P, Q, f1, f2, pts) -> float:
         if gauss is not None:
             total += gauss
             continue
-        flat = _regularized_chord(P, Q, f1, f2, a, b)
+        flat = _regularized_chord(ig, ig.rows[i], ig.rows[j])
         if flat is None:
             raise DivergenceError(
-                f"integrand is unbounded near ({a[0]:.6g}, {a[1]:.6g})"
+                f"integrand is unbounded near ({ax:.6g}, {ay:.6g})"
             )
         total += flat
     return total
 
 
-def _tail_contribution(P, Q, f1, f2, pts, at_start: bool):
+def _tail_contribution(ig: _Integrand, at_start: bool):
     """Fitted power-law tail for one open end; (value, uncertainty, note).
 
     The trailing integrand is reparametrized by the dominant coordinate c
@@ -299,6 +377,7 @@ def _tail_contribution(P, Q, f1, f2, pts, at_start: bool):
     chart infinity is psi*|c|/(p-1) at the end sample.  No certified decay
     means no tail, and a note says so.
     """
+    pts = ig.rows
     n = len(pts)
     gap = max(4, n // 50)
     if n < 3 * gap + 1:
@@ -318,14 +397,10 @@ def _tail_contribution(P, Q, f1, f2, pts, at_start: bool):
 
     def psi(point):
         x, y = float(point[0]), float(point[1])
-        gx, gy = _gradient(f1, f2, (x, y))
-        if c == 0:
-            if abs(gy) < GRADIENT_TOL:
-                raise ZeroDivisionError
-            return _eval_rf(P, x, y) + _eval_rf(Q, x, y) * (-gx / gy)
-        if abs(gx) < GRADIENT_TOL:
+        gx, gy = _gradient(ig.f1, ig.f2, (x, y))
+        if abs(gy if c == 0 else gx) < GRADIENT_TOL:
             raise ZeroDivisionError
-        return _eval_rf(Q, x, y) + _eval_rf(P, x, y) * (-gy / gx)
+        return ig.slope_form(c, x, y, gx, gy)
 
     try:
         p0, p1, p2 = psi(e0), psi(e1), psi(e2)
@@ -353,17 +428,13 @@ def integrate_1form(form, trace: CurveTrace) -> IntegralResult:
     decaying integrand receive power-law tails; a blow-up that dominates
     the sum or destabilizes the estimate raises DivergenceError.
     """
-    P, Q = _form_coefficients(form, trace.curve.variables)
-    pts = trace.samples
-    f1 = trace.curve.partial_derivative(0)
-    f2 = trace.curve.partial_derivative(1)
-    core = _chord_sum(P, Q, f1, f2, pts)
-    coarse_pts = pts[::2]
-    if (len(pts) - 1) % 2:
-        import numpy as np
-
-        coarse_pts = np.vstack([coarse_pts, pts[-1]])
-    coarse = _chord_sum(P, Q, f1, f2, coarse_pts)
+    ig = _Integrand(form, trace)
+    n = len(ig.points)
+    core = _chord_sum(ig, range(n))
+    coarse_index = list(range(0, n, 2))
+    if (n - 1) % 2:
+        coarse_index.append(n - 1)
+    coarse = _chord_sum(ig, coarse_index)
     estimate = abs(core - coarse)
     if estimate > max(1e-6, 0.25 * abs(core)):
         raise DivergenceError(
@@ -373,8 +444,8 @@ def integrate_1form(form, trace: CurveTrace) -> IntegralResult:
     warnings = []
     tail_start = tail_end = 0.0
     if not trace.closed:
-        tail_start, err_s, note_s = _tail_contribution(P, Q, f1, f2, pts, True)
-        tail_end, err_e, note_e = _tail_contribution(P, Q, f1, f2, pts, False)
+        tail_start, err_s, note_s = _tail_contribution(ig, True)
+        tail_end, err_e, note_e = _tail_contribution(ig, False)
         estimate += err_s + err_e
         for note in (note_s, note_e):
             if note:

@@ -65,7 +65,6 @@ from .weights import (
     is_quasihomogeneous,
     quasi_decompose,
     require_normalized,
-    rescaled_weights,
 )
 
 PREFACTOR_TAG = "1/(2*pi*i)"
@@ -125,11 +124,13 @@ class ChartForm:
                 )
 
 
-def _first_usable_chart(s: Polynomial) -> Optional[int]:
+def _first_usable_chart(s: Polynomial) -> Tuple[Optional[int], Optional[Polynomial]]:
+    """The first chart whose derivative of s is nonzero, with that derivative."""
     for i in range(len(s.variables)):
-        if not s.partial_derivative(i).is_zero:
-            return i
-    return None
+        s_i = s.partial_derivative(i)
+        if not s_i.is_zero:
+            return i, s_i
+    return None, None
 
 
 def leray_residue(g: Polynomial, s: Polynomial, chart: int) -> ChartForm:
@@ -145,7 +146,7 @@ def leray_residue(g: Polynomial, s: Polynomial, chart: int) -> ChartForm:
     if s.is_zero:
         raise ResidueError("hypersurface equation is zero")
     _require_pole(s, g)
-    return _leray_residue(g, s, chart)
+    return _leray_residue(g, s, chart, s.partial_derivative(chart))
 
 
 def _require_pole(s: Polynomial, g: Polynomial):
@@ -155,12 +156,13 @@ def _require_pole(s: Polynomial, g: Polynomial):
         )
 
 
-def _leray_residue(g: Polynomial, s: Polynomial, chart: int) -> ChartForm:
-    """leray_residue for a chart in range and s not dividing g."""
+def _leray_residue(
+    g: Polynomial, s: Polynomial, chart: int, s_chart: Polynomial
+) -> ChartForm:
+    """leray_residue for a chart in range, s not dividing g, s_chart = ds/dz_chart."""
     n = len(s.variables)
-    s_chart = s.partial_derivative(chart)
     if s_chart.is_zero:
-        usable = _first_usable_chart(s)
+        usable, _ = _first_usable_chart(s)
         hint = f"; chart {usable} is usable" if usable is not None else ""
         raise DegenerateChartError(
             f"derivative in chart {chart} vanishes identically{hint}",
@@ -196,7 +198,7 @@ def residue_division(eta: DifferentialForm, f: Polynomial, chart: int) -> ChartF
         raise ResidueError("expected a top degree form in the chart variables")
     f_chart = f.partial_derivative(chart)
     if f_chart.is_zero:
-        usable = _first_usable_chart(f)
+        usable, _ = _first_usable_chart(f)
         hint = f"; chart {usable} is usable" if usable is not None else ""
         raise DegenerateChartError(
             f"derivative in chart {chart} vanishes identically{hint}",
@@ -375,7 +377,7 @@ def _second_residue(
         chart_vars, [e - 1 for e in w.cover_exponents[1:]], w.jacobian_constant
     )
     rhs = volume_form(chart_vars, g_chart * factor)
-    chart = _first_usable_chart(s_chart)
+    chart, _ = _first_usable_chart(s_chart)
     if chart is None:
         raise DegenerateChartError("chart equation has no usable chart")
     result = residue_division(rhs, s_chart, chart)
@@ -486,18 +488,22 @@ def analyze(
     """
     g._check_same_variables(s)
     warnings = []
+    ok = False
     if rescale_weights:
+        # a quasihomogeneous s has valuation exactly 1 under the rescaled
+        # weights, so only a failed probe goes on to require_normalized
         ok, weight = is_quasihomogeneous(s, w)
         if ok and weight != 1:
-            w = rescaled_weights(s, w)
+            w = WeightSystem(tuple(a / weight for a in w.weights))
             warnings.append(
                 f"weights rescaled by 1/{weight} to normalize the equation"
             )
-    require_normalized(s, w)
+    if not ok:
+        require_normalized(s, w)
     _require_pole(s, g)
     criterion = lift_criterion(w)
     spectrum = spectrum_nonpositive(w)
-    leray = _leray_residue(g, s, _first_usable_chart(s))
+    leray = _leray_residue(g, s, *_first_usable_chart(s))
     images = _cover_images(s.variables, w)
     cover_form = _cover_pullback(g, s, images)
 

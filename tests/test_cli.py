@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from resilift.cli import JobError, load_job, main
+from resilift import numint
+from resilift.cli import JobError, cmd_integrate, load_job, main
+from resilift.numint import SingularPointError
 
 FERMAT_JOB = {
     "variables": ["z0", "z1", "z2"],
@@ -192,6 +194,31 @@ def test_integrate_steps_and_trace(tmp_path, capsys):
     lines = trace_path.read_text().strip().splitlines()
     assert lines[0] == "u1,u2"
     assert len(lines) == report["samples"] + 1
+
+
+def test_integrate_matches_exact_evaluation(tmp_path, capsys, monkeypatch):
+    """Compiled float evaluators leave every integrate output byte-identical."""
+    hesse = dict(FERMAT_JOB, s="z0^3 + z1^3 + z2^3 - z0*z1*z2")
+    jobs = [
+        load_job(write_job(tmp_path, job, f"{i}.json"))
+        for i, job in enumerate((FERMAT_JOB, hesse))
+    ]
+
+    def outputs():
+        seen = []
+        for i, job in enumerate(jobs):
+            out = tmp_path / f"{i}.out.json"
+            cmd_integrate(job, out=str(out))
+            seen.append((out.read_bytes(), capsys.readouterr().out))
+        # at twice the steps the Fermat trace runs into a tangency
+        with pytest.raises(SingularPointError) as failure:
+            cmd_integrate(jobs[0], steps=2400)
+        seen.append(str(failure.value))
+        return seen
+
+    compiled = outputs()
+    monkeypatch.setattr(numint, "_float_evaluator", lambda p: lambda *v: float(p.evaluate(v)))
+    assert outputs() == compiled
 
 
 def test_batch_mode(tmp_path, capsys):

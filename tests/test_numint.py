@@ -1,5 +1,7 @@
 """Curve tracing and numerical integration of 1-forms along traces."""
 
+import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from resilift.forms import differential
 from resilift.numint import (
     DivergenceError,
     SeedingError,
+    _float_evaluator,
     export_trace_csv,
     integrate_1form,
     trace_real_curve,
@@ -148,3 +151,70 @@ def test_export_trace_csv(tmp_path):
     assert len(lines) == len(trace) + 1
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _outcome(fn, *args):
+    """The bits of float(fn(*args)), or the type and message of its error."""
+    try:
+        return struct.pack("<d", float(fn(*args)))
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def _random_polynomial(rng):
+    # the constant term, when drawn, can sit anywhere in the term order
+    exponents = [(i, j) for i in range(5) for j in range(5)]
+    chosen = rng.sample(exponents, rng.randint(1, 7))
+    return Polynomial(
+        UV,
+        [
+            (e, F(rng.choice([-1, 1]) * rng.randint(1, 40), rng.choice([1, 3, 7, 10, 64])))
+            for e in chosen
+        ],
+    )
+
+
+def test_float_evaluator_is_bit_identical_to_evaluate():
+    import numpy as np
+
+    rng = random.Random(1811)
+    u1, u2 = Polynomial.generators(UV)
+    polys = [_random_polynomial(rng) for _ in range(40)]
+    polys += [
+        Polynomial.zero(UV),
+        Polynomial.constant(UV, F(-7, 10)),
+        F(-1, 3) * u1,  # -0.0 at u1 = 0
+        u1 * u2 - F(1, 3) * u2**3 + F(5, 7),
+        Polynomial.constant(UV, 10**400) + u1,  # a coefficient beyond float range
+    ]
+    # an unnormalized constant quotient: evaluate divides the Fractions exactly
+    # first, and float(1/10) / float(3/10) differs from float(1/3) in the last bit
+    exact_quotient = object.__new__(RationalFunction)
+    object.__setattr__(exact_quotient, "num", Polynomial.constant(UV, F(1, 10)))
+    object.__setattr__(exact_quotient, "den", Polynomial.constant(UV, F(3, 10)))
+    rationals = [
+        RationalFunction(_random_polynomial(rng), _random_polynomial(rng))
+        for _ in range(15)
+    ]
+    rationals += [
+        exact_quotient,
+        RationalFunction(Polynomial.constant(UV, F(2, 3)), 7),  # constant / constant
+        RationalFunction(Polynomial.constant(UV, F(1, 3)), u1**2 - F(1, 3) * u2),
+        RationalFunction(u1**3 - F(2, 7) * u2, 3),  # variable / constant
+        RationalFunction(u2 - 1, u1),  # zero denominator on u1 = 0
+        RationalFunction(Polynomial.constant(UV, F(-1, 3)), u1 - u2),
+    ]
+    coords = [0.0, -0.0, 1.0, -2.5, 1e200] + [rng.uniform(-3, 3) for _ in range(7)]
+    points = [(x, y) for x in coords for y in coords]
+    seen = set()
+    with np.errstate(all="ignore"):
+        for p in polys + rationals:
+            compiled = _float_evaluator(p)
+            for x, y in points:
+                for values in ((x, y), (np.float64(x), np.float64(y))):
+                    expected = _outcome(lambda: p.evaluate(values))
+                    assert _outcome(compiled, *values) == expected, (p, values)
+                    seen.add(expected)
+    # the cases the comparison is meant to cover did occur
+    assert struct.pack("<d", -0.0) in seen
+    assert {o[0] for o in seen if isinstance(o, tuple)} == {ZeroDivisionError, OverflowError}

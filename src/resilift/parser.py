@@ -17,15 +17,22 @@ wedge.  Implicit multiplication is not supported: "2x" is an error, write
 identifier that exactly names a declared variable always wins over the
 differential reading.  Every failure carries a line, a column, and the set
 of tokens that would have been accepted.
+
+Each rule evaluates as it parses: an atom is read as a constant, a variable
+or a differential, and `^`, `*`, `/\\`, `+` and `-` apply to the values at
+once, so no syntax tree is built.  Nesting depth is limited (MAX_DEPTH),
+but sums and products are read in a loop and may be of any length.  An
+error is raised at the point where it is read, so in form mode a semantic
+error such as a power of a 1-form is reported ahead of a later syntax error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
-from .algebra import Polynomial
+from .algebra import Polynomial, RationalFunction
 from .forms import DifferentialForm, differential, function_form, wedge
 
 MAX_DEPTH = 200
@@ -43,66 +50,6 @@ class ParseError(Exception):
         self.line = line
         self.col = col
         self.expected = tuple(expected)
-
-
-# -- AST ------------------------------------------------------------------
-
-Position = Tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Rational:
-    value: Fraction
-    pos: Position = field(default=(0, 0), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: Position = field(default=(0, 0), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Sum:
-    left: "Node"
-    right: "Node"
-    pos: Position = field(default=(0, 0), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Product:
-    left: "Node"
-    right: "Node"
-    pos: Position = field(default=(0, 0), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Node"
-    exponent: int
-    pos: Position = field(default=(0, 0), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Negation:
-    operand: "Node"
-    pos: Position = field(default=(0, 0), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Differential:
-    name: str
-    pos: Position = field(default=(0, 0), compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class Wedge:
-    left: "Node"
-    right: "Node"
-    pos: Position = field(default=(0, 0), compare=False, repr=False)
-
-
-Node = Union[Rational, Var, Sum, Product, Power, Negation, Differential, Wedge]
 
 
 # -- tokenizer ------------------------------------------------------------
@@ -134,9 +81,9 @@ def _tokenize(text: str):
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("number", text[i:j], line, col))
             col += j - i
@@ -207,49 +154,54 @@ class _Parser:
             return "end of input"
         return f"{token.kind} {token.text!r}" if token.kind in ("number", "ident") else f"{token.text!r}"
 
-    def parse(self) -> Node:
-        node = self.fexpr() if self.form_mode else self.expr()
+    def parse(self):
+        value = self.fexpr() if self.form_mode else self.expr()
         if self.current.kind != "end":
             self.fail(
                 f"unexpected {self.describe(self.current)}",
                 ("end of input",),
             )
-        return node
+        return value
 
-    def fexpr(self) -> Node:
-        node = self.expr()
+    def fexpr(self):
+        value = self.expr()
         while self.current.kind == "wedge":
-            op = self.advance()
+            self.advance()
             right = self.expr()
-            node = Wedge(node, right, pos=(op.line, op.col))
-        return node
+            value = wedge(
+                _as_form(value, self.variables), _as_form(right, self.variables)
+            )
+        return value
 
-    def expr(self) -> Node:
+    def expr(self):
         self.depth += 1
         if self.depth > MAX_DEPTH:
             self.fail("expression nested too deeply")
         try:
-            node = self.term()
+            value = self.term()
             while self.current.kind in ("+", "-"):
-                op = self.advance()
+                negate = self.advance().kind == "-"
                 right = self.term()
-                if op.kind == "-":
-                    right = Negation(right, pos=(op.line, op.col))
-                node = Sum(node, right, pos=(op.line, op.col))
-            return node
+                if negate:
+                    right = -right
+                if isinstance(value, DifferentialForm) or isinstance(right, DifferentialForm):
+                    value = _as_form(value, self.variables) + _as_form(right, self.variables)
+                else:
+                    value = value + right
+            return value
         finally:
             self.depth -= 1
 
-    def term(self) -> Node:
-        node = self.factor(coefficient_position=True)
+    def term(self):
+        value = self.factor(coefficient_position=True)
         while self.current.kind == "*":
             op = self.advance()
             right = self.factor(coefficient_position=False)
-            node = Product(node, right, pos=(op.line, op.col))
-        return node
+            value = _product(value, right, op)
+        return value
 
-    def factor(self, coefficient_position: bool) -> Node:
-        node = self.atom(coefficient_position)
+    def factor(self, coefficient_position: bool):
+        value = self.atom(coefficient_position)
         if self.current.kind == "^":
             self.advance()
             number = self.expect("number", "nonnegative integer exponent")
@@ -258,10 +210,15 @@ class _Parser:
                 raise ParseError(
                     f"exponent {exponent} too large", number.line, number.col
                 )
-            node = Power(node, exponent, pos=(number.line, number.col))
-        return node
+            scalar = _as_scalar(value)
+            if scalar is None:
+                raise ParseError(
+                    "exponentiation applies to scalars only", number.line, number.col
+                )
+            value = scalar**exponent
+        return value
 
-    def atom(self, coefficient_position: bool) -> Node:
+    def atom(self, coefficient_position: bool):
         token = self.current
         if token.kind == "number":
             self.advance()
@@ -282,7 +239,7 @@ class _Parser:
                         den_token.col,
                     )
                 value = Fraction(int(token.text), den)
-            return Rational(value, pos=(token.line, token.col))
+            return Polynomial.constant(self.variables, value)
         if token.kind == "ident":
             self.advance()
             return self.resolve_ident(token)
@@ -292,9 +249,9 @@ class _Parser:
                 self.fail("expression nested too deeply")
             try:
                 self.advance()
-                node = self.fexpr() if self.form_mode else self.expr()
+                value = self.fexpr() if self.form_mode else self.expr()
                 self.expect(")", "')'")
-                return node
+                return value
             finally:
                 self.depth -= 1
         if token.kind == "-":
@@ -303,43 +260,45 @@ class _Parser:
                 self.fail("expression nested too deeply")
             try:
                 self.advance()
-                operand = self.atom(coefficient_position)
-                return Negation(operand, pos=(token.line, token.col))
+                return -self.atom(coefficient_position)
             finally:
                 self.depth -= 1
         self.fail(f"unexpected {self.describe(token)}", _ATOM_EXPECTED)
 
-    def resolve_ident(self, token: _Token) -> Node:
+    def resolve_ident(self, token: _Token):
         name = token.text
-        pos = (token.line, token.col)
         if name in self.variables:
-            return Var(name, pos=pos)
+            return Polynomial.variable(self.variables, name)
         if name == "d" and self.current.kind == "ident":
             target = self.advance()
-            return self.make_differential(target.text, (target.line, target.col))
+            return self.make_differential(target.text, target)
         if name.startswith("d") and len(name) > 1:
-            return self.make_differential(name[1:], pos)
+            return self.make_differential(name[1:], token)
         raise ParseError(
             f"unknown variable {name!r}; declared variables: "
             + ", ".join(self.variables),
-            *pos,
+            token.line,
+            token.col,
         )
 
-    def make_differential(self, target: str, pos: Position) -> Node:
+    def make_differential(self, target: str, token: _Token):
         if target not in self.variables:
             raise ParseError(
                 f"unknown variable {target!r} under differential; "
                 "declared variables: " + ", ".join(self.variables),
-                *pos,
+                token.line,
+                token.col,
             )
         if not self.form_mode:
             raise ParseError(
-                f"differential d{target} is not allowed in a polynomial", *pos
+                f"differential d{target} is not allowed in a polynomial",
+                token.line,
+                token.col,
             )
-        return Differential(target, pos=pos)
+        return differential(self.variables, target)
 
 
-# -- evaluation -----------------------------------------------------------
+# -- evaluation helpers ---------------------------------------------------
 
 
 def _as_form(value, variables) -> DifferentialForm:
@@ -348,9 +307,10 @@ def _as_form(value, variables) -> DifferentialForm:
     return function_form(value, variables)
 
 
-def _as_scalar(value, pos):
-    """A polynomial, or the coefficient of a pure 0-form; None otherwise."""
-    if isinstance(value, Polynomial):
+def _as_scalar(value):
+    """A polynomial or rational function, or the coefficient of a pure 0-form;
+    None otherwise."""
+    if isinstance(value, (Polynomial, RationalFunction)):
         return value
     if isinstance(value, DifferentialForm):
         if value.is_zero:
@@ -360,70 +320,29 @@ def _as_scalar(value, pos):
     return None
 
 
-def _evaluate(node: Node, variables: Tuple[str, ...]):
-    if isinstance(node, Rational):
-        return Polynomial.constant(variables, node.value)
-    if isinstance(node, Var):
-        return Polynomial.variable(variables, node.name)
-    if isinstance(node, Differential):
-        return differential(variables, node.name)
-    if isinstance(node, Negation):
-        return -_evaluate(node.operand, variables)
-    if isinstance(node, Sum):
-        left = _evaluate(node.left, variables)
-        right = _evaluate(node.right, variables)
-        if isinstance(left, DifferentialForm) or isinstance(right, DifferentialForm):
-            return _as_form(left, variables) + _as_form(right, variables)
-        return left + right
-    if isinstance(node, Product):
-        left = _evaluate(node.left, variables)
-        right = _evaluate(node.right, variables)
-        if isinstance(left, Polynomial) and isinstance(right, Polynomial):
-            return left * right
-        for a, b in ((left, right), (right, left)):
-            if isinstance(a, DifferentialForm) and a.degrees() not in ((), (0,)):
-                scalar = _as_scalar(b, node.pos)
-                if scalar is None:
-                    raise ParseError(
-                        "use /\\ for products of forms", *node.pos
-                    )
-                return a * scalar
-        # both degenerate to scalars
-        return _as_scalar(left, node.pos) * _as_scalar(right, node.pos)
-    if isinstance(node, Power):
-        base = _evaluate(node.base, variables)
-        scalar = _as_scalar(base, node.pos)
-        if scalar is None:
-            raise ParseError("exponentiation applies to scalars only", *node.pos)
-        return scalar**node.exponent
-    if isinstance(node, Wedge):
-        left = _as_form(_evaluate(node.left, variables), variables)
-        right = _as_form(_evaluate(node.right, variables), variables)
-        return wedge(left, right)
-    raise ParseError(f"unrecognized node {type(node).__name__}", 0, 0)
+def _product(left, right, op: _Token):
+    """left * right; a form of positive degree takes only a scalar factor."""
+    if isinstance(left, Polynomial) and isinstance(right, Polynomial):
+        return left * right
+    for a, b in ((left, right), (right, left)):
+        if isinstance(a, DifferentialForm) and a.degrees() not in ((), (0,)):
+            scalar = _as_scalar(b)
+            if scalar is None:
+                raise ParseError("use /\\ for products of forms", op.line, op.col)
+            return a * scalar
+    # both degenerate to scalars
+    return _as_scalar(left) * _as_scalar(right)
 
 
 # -- public entry points --------------------------------------------------
 
 
-def parse_expression(
-    text: str, variables: Sequence[str], form_mode: bool = False
-) -> Node:
-    """Parse to an AST without evaluating; identifiers are resolved."""
-    return _Parser(text, variables, form_mode).parse()
-
-
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Exact polynomial from text; whitespace-insensitive, grammar above."""
-    variables = tuple(variables)
-    node = parse_expression(text, variables, form_mode=False)
-    value = _evaluate(node, variables)
-    assert isinstance(value, Polynomial)
-    return value
+    return _Parser(text, variables, form_mode=False).parse()
 
 
 def parse_form(text: str, variables: Sequence[str]) -> DifferentialForm:
     """DifferentialForm in normal form (sorted basis, signs resolved)."""
     variables = tuple(variables)
-    node = parse_expression(text, variables, form_mode=True)
-    return _as_form(_evaluate(node, variables), variables)
+    return _as_form(_Parser(text, variables, form_mode=True).parse(), variables)

@@ -62,6 +62,7 @@ from .forms import (
 )
 from .weights import (
     WeightSystem,
+    _divide_weights,
     is_quasihomogeneous,
     quasi_decompose,
     require_normalized,
@@ -133,6 +134,17 @@ def _first_usable_chart(s: Polynomial) -> Tuple[Optional[int], Optional[Polynomi
     return None, None
 
 
+def _require_usable_chart(f: Polynomial, chart: int, f_chart: Polynomial) -> None:
+    """Raise DegenerateChartError, naming a usable chart, if f_chart = df/dz_chart is 0."""
+    if f_chart.is_zero:
+        usable, _ = _first_usable_chart(f)
+        hint = f"; chart {usable} is usable" if usable is not None else ""
+        raise DegenerateChartError(
+            f"derivative in chart {chart} vanishes identically{hint}",
+            usable_chart=usable,
+        )
+
+
 def leray_residue(g: Polynomial, s: Polynomial, chart: int) -> ChartForm:
     r"""The chart form r = (-1)^chart (g/s_chart) dz0 /\ ...omit chart... /\ dzn.
 
@@ -161,13 +173,7 @@ def _leray_residue(
 ) -> ChartForm:
     """leray_residue for a chart in range, s not dividing g, s_chart = ds/dz_chart."""
     n = len(s.variables)
-    if s_chart.is_zero:
-        usable, _ = _first_usable_chart(s)
-        hint = f"; chart {usable} is usable" if usable is not None else ""
-        raise DegenerateChartError(
-            f"derivative in chart {chart} vanishes identically{hint}",
-            usable_chart=usable,
-        )
+    _require_usable_chart(s, chart, s_chart)
     coeff = RationalFunction(g, s_chart)
     if chart % 2:
         coeff = -coeff
@@ -193,18 +199,20 @@ def residue_division(eta: DifferentialForm, f: Polynomial, chart: int) -> ChartF
         raise ResidueError(f"chart index {chart} out of range for {variables}")
     if eta.is_zero:
         return ChartForm(chart_index=chart, relation=f, form=eta)
-    top = tuple(range(n))
-    if set(eta.components) != {top}:
+    if set(eta.components) != {tuple(range(n))}:
         raise ResidueError("expected a top degree form in the chart variables")
-    f_chart = f.partial_derivative(chart)
-    if f_chart.is_zero:
-        usable, _ = _first_usable_chart(f)
-        hint = f"; chart {usable} is usable" if usable is not None else ""
-        raise DegenerateChartError(
-            f"derivative in chart {chart} vanishes identically{hint}",
-            usable_chart=usable,
-        )
-    coeff = eta.component(top) / RationalFunction.from_polynomial(f_chart)
+    return _residue_division(eta, f, chart, f.partial_derivative(chart))
+
+
+def _residue_division(
+    eta: DifferentialForm, f: Polynomial, chart: int, f_chart: Polynomial
+) -> ChartForm:
+    """residue_division for a nonzero top form eta over f's variables, a chart
+    in range, f_chart = df/du_chart."""
+    variables = f.variables
+    n = len(variables)
+    _require_usable_chart(f, chart, f_chart)
+    coeff = eta.component(tuple(range(n))) / RationalFunction.from_polynomial(f_chart)
     if chart % 2:
         coeff = -coeff
     indices = tuple(i for i in range(n) if i != chart)
@@ -377,10 +385,10 @@ def _second_residue(
         chart_vars, [e - 1 for e in w.cover_exponents[1:]], w.jacobian_constant
     )
     rhs = volume_form(chart_vars, g_chart * factor)
-    chart, _ = _first_usable_chart(s_chart)
+    chart, s_chart_derivative = _first_usable_chart(s_chart)
     if chart is None:
         raise DegenerateChartError("chart equation has no usable chart")
-    result = residue_division(rhs, s_chart, chart)
+    result = _residue_division(rhs, s_chart, chart, s_chart_derivative)
     return ChartForm(
         chart_index=result.chart_index,
         relation=result.relation,
@@ -494,7 +502,7 @@ def analyze(
         # weights, so only a failed probe goes on to require_normalized
         ok, weight = is_quasihomogeneous(s, w)
         if ok and weight != 1:
-            w = WeightSystem(tuple(a / weight for a in w.weights))
+            w = _divide_weights(s, w, weight)
             warnings.append(
                 f"weights rescaled by 1/{weight} to normalize the equation"
             )

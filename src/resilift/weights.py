@@ -205,20 +205,28 @@ def rescaled_weights(s: Polynomial, w: WeightSystem) -> WeightSystem:
     ok, weight = is_quasihomogeneous(s, w)
     if not ok:
         raise NonQuasihomogeneousError(f"{s} is not quasihomogeneous under {w}")
+    return _divide_weights(s, w, weight)
+
+
+def _divide_weights(s: Polynomial, w: WeightSystem, weight: Fraction) -> WeightSystem:
+    """w divided by weight, the valuation of the quasihomogeneous s."""
+    if weight == 0:
+        raise WeightError(
+            f"equation {s} is constant: its valuation is 0 under any weights, never 1"
+        )
     return WeightSystem(tuple(a / weight for a in w.weights))
 
 
 def require_normalized(s: Polynomial, w: WeightSystem) -> Fraction:
     """Insist that s is quasihomogeneous of valuation exactly 1.
 
-    Raises NonQuasihomogeneousError or UnnormalizedEquationError (the latter
-    carrying the rescaled weights as a hint) and returns the valuation 1.
+    Raises NonQuasihomogeneousError, WeightError for a constant s, or
+    UnnormalizedEquationError (carrying the rescaled weights as a hint), and
+    returns the valuation 1.
     """
     ok, weight = is_quasihomogeneous(s, w)
     if not ok:
         raise NonQuasihomogeneousError(f"{s} is not quasihomogeneous under {w}")
     if weight != 1:
-        raise UnnormalizedEquationError(
-            weight, tuple(a / weight for a in w.weights)
-        )
+        raise UnnormalizedEquationError(weight, _divide_weights(s, w, weight).weights)
     return weight

@@ -83,6 +83,11 @@ def test_analyze_exit_codes(tmp_path, capsys):
     removable = dict(FERMAT_JOB, g="z0*(z0^3 + z1^3 + z2^3)")
     assert main(["analyze", write_job(tmp_path, removable)]) == 2
     assert "removable" in capsys.readouterr().err
+    for options in ({}, {"rescale_weights": True}):
+        constant = dict(FERMAT_JOB, s="5", options=options)
+        assert main(["analyze", write_job(tmp_path, constant)]) == 2
+        err = capsys.readouterr().err
+        assert "WeightError: equation 5 is constant" in err
 
 
 def test_analyze_report_schema(tmp_path, capsys):

@@ -8,20 +8,7 @@ import pytest
 
 from resilift.algebra import Polynomial
 from resilift.forms import DifferentialForm, basis_form, differential, volume_form, wedge
-from resilift.parser import (
-    Differential,
-    Negation,
-    ParseError,
-    Power,
-    Product,
-    Rational,
-    Sum,
-    Var,
-    Wedge,
-    parse_expression,
-    parse_form,
-    parse_polynomial,
-)
+from resilift.parser import ParseError, parse_form, parse_polynomial
 
 F = Fraction
 XYZ = ("x", "y", "z")
@@ -103,6 +90,11 @@ def test_scalar_wedges_are_products():
     assert parse_form("(x /\\ y)*z", XYZ) == parse_form("x*y*z", XYZ)
     assert parse_form("x*(y /\\ z)", XYZ) == parse_form("x*y*z", XYZ)
     assert parse_form("(x /\\ y)^2", XYZ) == parse_form("x^2*y^2", XYZ)
+    # the power of a scalar wedge is a scalar too
+    assert parse_form("(x /\\ y)^2*z", XYZ) == parse_form("x^2*y^2*z", XYZ)
+    assert parse_form("z*(x /\\ y)^2", XYZ) == parse_form("x^2*y^2*z", XYZ)
+    assert parse_form("((x /\\ y)^2)^2", XYZ) == parse_form("x^4*y^4", XYZ)
+    assert parse_form("(x /\\ y)^2*dz", XYZ) == parse_form("x^2*y^2*dz", XYZ)
 
 
 def test_exponent_and_depth_limits():
@@ -120,25 +112,66 @@ def test_unexpected_character():
     assert info.value.col == 5
 
 
+def test_numbers_are_ascii_digits_only():
+    # other Unicode digits are not numbers: '²' and '٣' are unexpected characters
+    for text, col in (("x^²", 3), ("2²", 2), ("٣*x", 1)):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, XYZ)
+        assert "unexpected character" in str(info.value)
+        assert (info.value.line, info.value.col) == (1, col)
+
+
 def test_end_of_input():
     with pytest.raises(ParseError) as info:
         parse_polynomial("x +", XYZ)
     assert info.value.expected
-
-
-def test_ast_shapes():
-    node = parse_expression("x+2*y", XYZ)
-    assert node == Sum(Var("x"), Product(Rational(F(2)), Var("y")))
-    node = parse_expression("du1 /\\ du2", UV, form_mode=True)
-    assert node == Wedge(Differential("u1"), Differential("u2"))
+    # a semantic error is raised where it is read, ahead of a later syntax error
+    with pytest.raises(ParseError) as info:
+        parse_form("dx^2 +", XYZ)
+    assert "exponentiation applies to scalars only" in str(info.value)
+    assert (info.value.line, info.value.col) == (1, 4)
 
 
 def test_unary_minus_binds_inside_atom():
     x, _, _ = Polynomial.generators(XYZ)
     # '-' lives inside the atom and '^' outside it, so -x^2 is (-x)^2
-    assert parse_expression("-x^2", XYZ) == Power(Negation(Var("x")), 2)
     assert parse_polynomial("-x^2", XYZ) == x**2
     assert parse_polynomial("-1*x^2", XYZ) == -(x**2)
+
+
+def test_long_sums_and_products():
+    # sums and products are folded in a loop, so their length is not limited
+    # by recursion; the sum keeps the term order of repeated `+` and `-`
+    x, y, z = Polynomial.generators(XYZ)
+    one = Polynomial.one(XYZ)
+    summands = {"x": x, "y": y, "2": 2 * one, "x^2": x**2, "x*y": x * y, "3*z": 3 * z}
+    rng = random.Random(11)
+    pieces, expected = [], Polynomial.zero(XYZ)
+    for i in range(20000):
+        text = rng.choice(list(summands))
+        if rng.random() < 0.5:
+            pieces.append("-" + text)
+            expected = expected - summands[text]
+        else:
+            pieces.append(("+" if i else "") + text)
+            expected = expected + summands[text]
+    parsed = parse_polynomial("".join(pieces), XYZ)
+    assert parsed == expected
+    assert list(parsed.terms) == list(expected.terms)
+
+    factors = {"x": x, "y": y, "z": z, "(-1)": -one, "(1/2)": one * F(1, 2), "3": 3 * one}
+    chosen = [rng.choice(list(factors)) for _ in range(4000)]
+    expected = one
+    for text in chosen:
+        expected = expected * factors[text]
+    assert parse_polynomial("*".join(chosen), XYZ) == expected
+
+    pieces, expected = [], DifferentialForm.zero(XYZ)
+    for _ in range(3000):
+        coeff, a, index = rng.choice((1, 2)), rng.randint(0, 3), rng.randrange(3)
+        pieces.append(f"{coeff}*x^{a}*d{XYZ[index]}")
+        expected = expected + basis_form(XYZ, (index,), coeff * x**a)
+    assert parse_form(" + ".join(pieces), XYZ) == expected
 
 
 def test_polynomial_round_trip_random():
@@ -150,7 +183,11 @@ def test_polynomial_round_trip_random():
             p = p + Polynomial.single_term(
                 XYZ, mono, F(rng.randint(-9, 9), rng.randint(1, 9))
             )
-        assert parse_polynomial(str(p), XYZ) == p
+        parsed = parse_polynomial(str(p), XYZ)
+        assert parsed == p
+        # one term per summand, read in the rendered graded-lex descending order
+        rendered = sorted(p.terms, key=lambda m: (m.degree, m.exponents), reverse=True)
+        assert list(parsed.terms) == rendered
 
 
 def test_form_round_trip_random():

@@ -35,7 +35,12 @@ from resilift.residue import (
     residue_division,
     second_residue,
 )
-from resilift.weights import UnnormalizedEquationError, WeightSystem
+from resilift.weights import (
+    UnnormalizedEquationError,
+    WeightError,
+    WeightSystem,
+    rescaled_weights,
+)
 
 F = Fraction
 Z = ("z0", "z1", "z2")
@@ -273,6 +278,20 @@ def test_analyze_rescale_path():
     report = analyze(s, x, doubled, rescale_weights=True)
     assert report.weight_system.weights == (F(1, 3), F(1, 3), F(1, 4))
     assert any("rescaled" in line for line in report.warnings)
+
+
+def test_constant_equation_is_a_weight_error():
+    # a constant has valuation 0 under any weights: nothing to rescale by
+    s = Polynomial.constant(("x", "y", "z"), 5)
+    g = Polynomial.one(("x", "y", "z"))
+    w = WeightSystem(("1/3", "1/3", "1/4"))
+    for call in (
+        lambda: analyze(s, g, w),
+        lambda: analyze(s, g, w, rescale_weights=True),
+        lambda: rescaled_weights(s, w),
+    ):
+        with pytest.raises(WeightError, match="equation 5 is constant"):
+            call()
 
 
 def test_chart_form_validation():

@@ -307,6 +307,10 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise AlgebraError("polynomial powers take nonnegative integer exponents")
+        if len(self.terms) == 1:
+            ((mono, coeff),) = self.terms.items()
+            exps = tuple(e * exponent for e in mono.exponents)
+            return _polynomial(self.variables, {_monomial(exps): coeff**exponent})
         result = Polynomial.one(self.variables)
         base = self
         n = exponent

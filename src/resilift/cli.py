@@ -141,7 +141,7 @@ def load_job(path) -> JobSpec:
 
 
 def _frac(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)
 
 
 def _criterion_dict(decision) -> dict:

@@ -7,6 +7,10 @@ module decides that by dynamic programming on the cleared-denominator
 integers.  The same quantity indexes the nonpositive part of the
 singularity spectrum, {kappa + sum k_i a_i - 1 <= 0}, which is enumerated
 exactly.  The criterion holds precisely when 0 is absent from that list.
+The spectrum runs on integers over the cover order l: with e_i = l a_i an
+entry is the integer v = sum(e) - l + sum k_i e_i <= 0, and becomes the
+Fraction v / l only once it is sorted.  ResidueReport.verify checks the
+entries and the criterion witness on the same integers.
 
 When the criterion fails, the weight-(1 - kappa) component of the
 numerator decides between a certified obstruction and an inconclusive
@@ -121,29 +125,24 @@ def spectrum_nonpositive(w: WeightSystem) -> Tuple[SpectrumEntry, ...]:
 
     One entry per exponent vector (witnesses are not deduplicated by value);
     sorted ascending by value, then lexicographically by witness.  Empty
-    when kappa > 1.
+    when kappa > 1.  Runs on integers over the cover order l: with
+    e_i = l a_i, the value of k is v / l for v = sum(e) - l + sum k_i e_i.
     """
-    kappa = w.kappa
-    if kappa > 1:
+    if w.kappa > 1:
         return ()
-    limit = 1 - kappa
-    entries = []
-    k = [0] * len(w)
-
-    def enumerate_from(i: int, total: Fraction):
-        if i == len(w):
-            entries.append(SpectrumEntry(kappa + total - 1, tuple(k)))
-            return
-        a = w.weights[i]
-        cap = int((limit - total) / a)
-        for c in range(cap + 1):
-            k[i] = c
-            enumerate_from(i + 1, total + c * a)
-        k[i] = 0
-
-    enumerate_from(0, Fraction(0))
-    entries.sort(key=lambda e: (e.value, e.k))
-    return tuple(entries)
+    l = w.cover_order
+    exponents = w.cover_exponents
+    # (v, k) rows, extended one coordinate at a time; c e_i <= -v keeps v <= 0
+    rows = [(sum(exponents) - l, ())]
+    for e in exponents:
+        rows = [
+            (v + c * e, k + (c,)) for v, k in rows for c in range(-v // e + 1)
+        ]
+    rows.sort()
+    # l > 0, so the int order is the (value, k) order; entries replace rows
+    for j, (v, k) in enumerate(rows):
+        rows[j] = SpectrumEntry(Fraction(v, l), k)
+    return tuple(rows)
 
 
 def cover_image(p: Polynomial, w: WeightSystem) -> Polynomial:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence, Tuple
 
 from .algebra import (
@@ -439,20 +440,18 @@ class ResidueReport:
         identity = wedge(ds, self.leray.form)
         if identity != volume_form(variables, self.g):
             raise ResidueError("stored residue fails its defining identity")
+        # the witness and the spectrum, on integers over the cover order l
+        l = self.cover_order
+        exponents = self.weight_system.cover_exponents
+        base = sum(exponents) - l
         witness = self.criterion.witness
         if witness is not None:
-            value = self.kappa + sum(
-                (Fraction(c) * a for c, a in zip(witness.k, self.weight_system.weights)),
-                Fraction(0),
-            )
-            if value != witness.value or value != 1:
+            if sum(map(mul, witness.k, exponents)) != -base or witness.value != 1:
                 raise ResidueError("criterion witness does not recompute")
         for entry in self.spectrum:
-            value = self.kappa - 1 + sum(
-                (Fraction(c) * a for c, a in zip(entry.k, self.weight_system.weights)),
-                Fraction(0),
-            )
-            if value != entry.value or value > 0:
+            v = base + sum(map(mul, entry.k, exponents))
+            value = entry.value
+            if v > 0 or value.numerator * l != v * value.denominator:
                 raise ResidueError("spectrum entry does not recompute")
         if self.blowup_split is not None and self.blowup_form is not None:
             rebuilt = recombine_split(

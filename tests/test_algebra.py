@@ -268,6 +268,33 @@ def test_power_matches_repeated_products(monkeypatch):
         assert len(calls) == bin(n).count("1") + n.bit_length() - 1
 
 
+def test_single_term_power_scales_exponents(monkeypatch):
+    terms = [
+        Polynomial.single_term(XYZ, (1, 0, 2), F(-3)),
+        Polynomial.single_term(XYZ, (2, 1, 3), F(-2, 7)),
+        Polynomial.single_term(XYZ, (0, 0, 0), F(5, 3)),
+    ]
+    expected = {}
+    for t in terms:
+        product = Polynomial.one(XYZ)
+        for n in range(10):
+            expected[id(t), n] = product
+            product = product * t
+    # a single term is raised directly: exponents times n, coefficient to n
+    calls = []
+    original = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    for t in terms:
+        for n in range(10):
+            assert t**n == expected[id(t), n]
+    assert calls == []
+
+
 def test_monomial_ordering_and_content():
     p = Polynomial.single_term(XYZ, (2, 1, 0), F(3)) + Polynomial.single_term(
         XYZ, (2, 3, 0), F(5)

@@ -15,6 +15,7 @@ from resilift.criteria import (
     UNKNOWN,
     CriteriaError,
     RemovablePoleError,
+    SpectrumEntry,
     cover_image,
     lift_criterion,
     obstruction_component,
@@ -80,6 +81,57 @@ def test_spectrum_matches_criterion_randomly():
                 (F(c) * a for c, a in zip(e.k, w.weights)), F(0)
             )
             assert recomputed == e.value
+
+
+def reference_spectrum(w):
+    """The Fraction recursion the integer enumeration replaced."""
+    kappa = w.kappa
+    if kappa > 1:
+        return ()
+    limit = 1 - kappa
+    entries = []
+    k = [0] * len(w)
+
+    def enumerate_from(i, total):
+        if i == len(w):
+            entries.append(SpectrumEntry(kappa + total - 1, tuple(k)))
+            return
+        a = w.weights[i]
+        for c in range(int((limit - total) / a) + 1):
+            k[i] = c
+            enumerate_from(i + 1, total + c * a)
+        k[i] = 0
+
+    enumerate_from(0, F(0))
+    entries.sort(key=lambda e: (e.value, e.k))
+    return tuple(entries)
+
+
+def test_spectrum_matches_fraction_reference():
+    rng = random.Random(11)
+    systems = [
+        [F(rng.randint(1, 6), rng.randint(6, 14)) for _ in range(rng.randint(1, 4))]
+        for _ in range(300)
+    ]
+    systems += [
+        ("1/3", "1/3", "1/3"),  # kappa = 1
+        ("1/2", "1/2", "1/4"),  # kappa > 1
+        ("1/6", "1/6", "1/6", "1/6"),  # many k share one value
+        ("1/43", "1/47", "1/59"),
+        ("1/43", "1/53", "1/59"),
+    ]
+    kappas = set()
+    for weights in systems:
+        w = WeightSystem(weights)
+        kappas.add((w.kappa > 1) - (w.kappa < 1))
+        entries = spectrum_nonpositive(w)
+        assert entries == reference_spectrum(w)
+        assert all(type(e.value) is Fraction for e in entries)
+    assert kappas == {-1, 0, 1}
+    ties = spectrum_nonpositive(WeightSystem(("1/6",) * 4))
+    assert [e.k for e in ties if e.value == F(-1, 6)] == [
+        (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)
+    ]
 
 
 def test_cover_image_substitutes_root_powers():

@@ -1,6 +1,7 @@
 """The symbolic pipeline: Leray residue, branched cover pullback, blow-up
 split, second residue, and the aggregate report."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -11,7 +12,10 @@ from resilift.criteria import (
     INCONCLUSIVE,
     LIFTS,
     OBSTRUCTED,
+    CriterionDecision,
+    CriterionWitness,
     RemovablePoleError,
+    SpectrumEntry,
 )
 from resilift.forms import (
     DifferentialForm,
@@ -198,6 +202,52 @@ def test_analyze_lifts_report():
     assert report.second_residue is None
     assert report.blowup_exponent == blowup_exponent_formula(F(1, 3), w)
     assert report.verify()
+
+
+def _spectrum_mutations(report):
+    """Reports with one corrupted spectrum entry or criterion witness."""
+    l = report.cover_order
+    exponents = report.weight_system.cover_exponents
+    spectrum = report.spectrum
+    last = len(spectrum) - 1
+    entry = spectrum[last]
+    bumped = (entry.k[0] + 1,) + entry.k[1:]
+    # k = (c, 0, ..., 0) with c e_0 > l - sum(e): a positive value
+    c = (l - sum(exponents)) // exponents[0] + 1
+    positive = F(sum(exponents) - l + c * exponents[0], l)
+    assert positive > 0
+    entries = [
+        spectrum[:last] + (SpectrumEntry(entry.value + F(1, l), entry.k),),
+        spectrum[:last] + (SpectrumEntry(entry.value, bumped),),
+        spectrum + (SpectrumEntry(positive, (c,) + (0,) * (len(exponents) - 1)),),
+    ]
+    mutants = [dataclasses.replace(report, spectrum=e) for e in entries]
+    witness = report.criterion.witness
+    if witness is None:  # a system that lifts has no witness to reach 1
+        witness = CriterionWitness(entry.k, F(1))
+    else:
+        witness = CriterionWitness((witness.k[0] + 1,) + witness.k[1:], witness.value)
+    criterion = CriterionDecision(False, witness)
+    mutants.append(dataclasses.replace(report, criterion=criterion))
+    return mutants
+
+
+def test_verify_rejects_corrupted_spectrum_and_witness():
+    z0, z1, z2 = Polynomial.generators(Z)
+    lifts = analyze(
+        z0**5 + z1**5 + z2**7, Polynomial.one(Z), WeightSystem(("1/5", "1/5", "1/7"))
+    )
+    obstructed = analyze(
+        z0**4 + z1**4 + z2**8, z2**3, WeightSystem(("1/4", "1/4", "1/8"))
+    )
+    assert lifts.verdict.kind == LIFTS
+    assert obstructed.verdict.kind == OBSTRUCTED
+    for report in (lifts, obstructed):
+        assert len(report.spectrum) > 1
+        assert report.verify()
+        for mutant in _spectrum_mutations(report):
+            with pytest.raises(ResidueError):
+                mutant.verify()
 
 
 def test_analyze_inconclusive_report(fermat, wf):

@@ -20,7 +20,10 @@ max-heap, in the same order a scan for the largest term would.  `divides`
 first compares exponent ranges: for p = q*d the Newton polytope of p is the
 Minkowski sum of those of q and d (Ostrowski), so along each variable and
 along the total degree the range max - min of p is that of q plus that of d,
-and a smaller range of p proves d does not divide p without dividing.
+and a smaller range of p proves d does not divide p without dividing.  For
+the same reason the affine hull of p's exponents contains a translate of d's,
+so a difference of two exponent vectors of d outside the span of p's
+differences rejects as well.
 
 Scalar prefactors that are not rational (2*pi*i and friends) never enter
 this layer; higher layers carry them as symbolic tags.
@@ -544,17 +547,53 @@ def _exponent_ranges(p: Polynomial) -> Tuple[int, ...]:
     return tuple(max(col) - min(col) for col in columns)
 
 
+def _reduce(row, basis):
+    """row minus integer combinations of the echelon basis; zero iff in its span."""
+    for pivot, b in basis:
+        c = row[pivot]
+        if c:
+            row = [b[pivot] * x - c * y for x, y in zip(row, b)]
+    return row
+
+
+def _outside_hull(d: Polynomial, p: Polynomial) -> bool:
+    """Whether some difference of d's exponent vectors leaves the span of p's.
+
+    The span of p's differences is the direction of the affine hull of its
+    Newton polytope.  For p = q*d that polytope contains a translate of d's,
+    so the differences of d lie in it.  Fraction-free elimination on the
+    integer difference rows of p builds an echelon basis of that span.
+    """
+    if len(d.terms) < 2:
+        return False
+    width = len(p.variables)
+    base, *rest = (m.exponents for m in p.terms)
+    basis = []
+    for exps in rest:
+        row = _reduce(list(map(sub, exps, base)), basis)
+        pivot = next((j for j, x in enumerate(row) if x), None)
+        if pivot is not None:
+            basis.append((pivot, row))
+            if len(basis) == width:
+                return False
+    base, *rest = (m.exponents for m in d.terms)
+    return any(any(_reduce(list(map(sub, exps, base)), basis)) for exps in rest)
+
+
 def divides(d: Polynomial, p: Polynomial) -> Tuple[bool, Polynomial]:
     """Exact divisibility probe; returns (True, quotient) or (False, None).
 
-    A nonzero p = q*d has every exponent range of d plus that of q (see the
-    module docstring), so a range of p below that of d rejects at once.
+    A nonzero p = q*d has every exponent range of d plus that of q, and the
+    affine hull of its Newton polytope contains a translate of d's (see the
+    module docstring), so a range of p below that of d, or a difference of
+    d's exponents outside the span of p's, rejects at once.
     """
     if d.is_zero:
         raise AlgebraError("divisibility by the zero polynomial is undefined")
     p._check_same_variables(d)
-    if p.terms and any(
-        rp < rd for rp, rd in zip(_exponent_ranges(p), _exponent_ranges(d))
+    if p.terms and (
+        any(rp < rd for rp, rd in zip(_exponent_ranges(p), _exponent_ranges(d)))
+        or _outside_hull(d, p)
     ):
         return False, None
     q, r = divide_with_remainder(p, d)

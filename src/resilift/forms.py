@@ -6,7 +6,7 @@ Forms may mix degrees.  Chart changes never mutate a form; they produce a
 new form over a new variable tuple.
 
 Besides the standard operations (wedge, exterior derivative, pullback) this
-module provides two more specialised tools used by the residue pipeline:
+module provides three more specialised tools used by the residue pipeline:
 
 * ``split_du0`` factors a form as u^e du /\\ r + theta with respect to a
   chosen variable u, insisting that the du-part carries one pure power of u.
@@ -15,6 +15,9 @@ module provides two more specialised tools used by the residue pipeline:
   df /\\ (a-b) is divisible by f once denominators (required coprime to f)
   are cleared.  This deliberately avoids general ideal membership; the
   divisibility probe is exact for the comparisons performed here.
+* the private ``_Cleared`` accumulator checks exact form identities, such
+  as df /\\ r = eta or the recombination of a split, on cleared
+  denominators, without normalizing any coefficient.
 
 ``pullback`` accepts any polynomial images.  When every image is a single
 term c_i * u^(M_i), a monomial map such as the branched cover or a blow-up
@@ -318,6 +321,80 @@ def d_of_polynomial(p: Polynomial) -> DifferentialForm:
     return exterior_derivative(function_form(p, p.variables))
 
 
+class _Cleared:
+    """A form held as unnormalized (num, den) polynomial pairs per basis key.
+
+    Built from sums and wedge products without building, normalizing or
+    dividing any RationalFunction, so exact identities are checked on
+    cleared denominators.  Pairs with equal denominators at one key share
+    one numerator; a den of None stands for 1.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self):
+        self.parts: Dict[Tuple[int, ...], list] = {}
+
+    def add(self, key, num: Polynomial, den: Optional[Polynomial] = None):
+        """Add num/den at the basis key; returns self."""
+        if den is not None and den.is_constant:
+            num, den = num * (1 / den.constant_value()), None
+        pairs = self.parts.setdefault(key, [])
+        for pair in pairs:
+            if pair[1] == den:
+                pair[0] = pair[0] + num
+                return self
+        pairs.append([num, den])
+        return self
+
+    def add_form(self, a: DifferentialForm):
+        for key, coeff in a.components.items():
+            self.add(key, coeff.num, coeff.den)
+        return self
+
+    def add_d_wedge(self, f: Polynomial, a: DifferentialForm):
+        """Add df /\\ a for a polynomial f."""
+        f = _embed(f, a.variables)
+        for i in range(len(a.variables)):
+            f_i = f.partial_derivative(i)
+            if f_i.is_zero:
+                continue
+            for key, coeff in a.components.items():
+                sign, merged = _merge_signed((i,), key)
+                if sign:
+                    num = f_i * coeff.num
+                    self.add(merged, num if sign > 0 else -num, coeff.den)
+        return self
+
+    def __eq__(self, other):
+        if not isinstance(other, _Cleared):
+            return NotImplemented
+        diff = _Cleared()
+        for side, sign in ((self, 1), (other, -1)):
+            for key, pairs in side.parts.items():
+                for num, den in pairs:
+                    diff.add(key, num * sign, den)
+        return all(_vanishes(pairs) for pairs in diff.parts.values())
+
+
+def _times(p: Polynomial, den: Optional[Polynomial]) -> Polynomial:
+    return p if den is None else p * den
+
+
+def _vanishes(pairs) -> bool:
+    """Whether the sum of num/den over the pairs is zero.
+
+    num/den + m/e = (num*e + m*den)/(den*e), and every den is nonzero, so
+    the sum vanishes exactly when the accumulated numerator does.
+    """
+    (num, den), rest = pairs[0], pairs[1:]
+    for i, (m, e) in enumerate(rest, 1):
+        num = _times(num, e) + _times(m, den)
+        if i < len(rest):
+            den = e if den is None else _times(den, e)
+    return num.is_zero
+
+
 def pullback(
     a: DifferentialForm, images: Sequence[Polynomial]
 ) -> DifferentialForm:
@@ -495,20 +572,31 @@ def split_du0(a: DifferentialForm, var_index: int = 0) -> SplitResult:
     )
 
 
-def recombine_split(
-    split: SplitResult, variables: Sequence[str], var_index: int = 0
-) -> DifferentialForm:
-    """Re-expand a SplitResult; inverse of split_du0, used for verification."""
-    variables = tuple(variables)
-    if split.exponent is None:
-        return split.remainder
-    u = Polynomial.variable(variables, variables[var_index])
-    if split.exponent >= 0:
-        power = RationalFunction.from_polynomial(u ** split.exponent)
-    else:
-        power = RationalFunction(Polynomial.one(variables), u ** (-split.exponent))
-    du = basis_form(variables, (var_index,))
-    return wedge(du * power, split.du0_factor) + split.remainder
+def _recombines(
+    split: SplitResult, a: DifferentialForm, var_index: int = 0
+) -> bool:
+    """Whether u^e du /\\ du0_factor + remainder re-expands to a; the inverse
+    of split_du0, checked on cleared denominators."""
+    variables = a.variables
+    if {split.du0_factor.variables, split.remainder.variables} != {variables}:
+        return False
+    rebuilt = _Cleared().add_form(split.remainder)
+    if split.exponent is not None:
+        e = split.exponent
+        exponents = [0] * len(variables)
+        exponents[var_index] = abs(e)
+        power = Polynomial.single_term(variables, exponents)
+        for key, coeff in split.du0_factor.components.items():
+            sign, merged = _merge_signed((var_index,), key)
+            if sign == 0:
+                continue
+            num, den = coeff.num, coeff.den
+            if e >= 0:
+                num = num * power
+            else:
+                den = den * power
+            rebuilt.add(merged, num if sign > 0 else -num, den)
+    return rebuilt == _Cleared().add_form(a)
 
 
 def form_with_variables(

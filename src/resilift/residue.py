@@ -53,13 +53,12 @@ from .criteria import (
 from .forms import (
     DifferentialForm,
     SplitResult,
+    _Cleared,
+    _recombines,
     basis_form,
-    d_of_polynomial_over,
     pullback,
-    recombine_split,
     split_du0,
     volume_form,
-    wedge,
 )
 from .weights import (
     WeightSystem,
@@ -218,7 +217,7 @@ def _residue_division(
         coeff = -coeff
     indices = tuple(i for i in range(n) if i != chart)
     r = basis_form(variables, indices, coeff)
-    if wedge(d_of_polynomial_over(f, variables), r) != eta:
+    if _Cleared().add_d_wedge(f, r) != _Cleared().add_form(eta):
         raise ResidueDivisionError("defining identity failed to close")
     return ChartForm(chart_index=chart, relation=f, form=r)
 
@@ -434,11 +433,13 @@ class ResidueReport:
         return self.weight_system.jacobian_constant
 
     def verify(self) -> bool:
-        """Re-expand every defining identity in the report; raise on failure."""
-        variables = self.s.variables
-        ds = d_of_polynomial_over(self.s, variables)
-        identity = wedge(ds, self.leray.form)
-        if identity != volume_form(variables, self.g):
+        """Re-expand every defining identity in the report; raise on failure.
+
+        Each form identity is checked on cleared denominators (forms._Cleared):
+        no RationalFunction is built and nothing is divided.
+        """
+        leray = _Cleared().add_d_wedge(self.s, self.leray.form)
+        if leray != _Cleared().add(tuple(range(len(self.s.variables))), self.g):
             raise ResidueError("stored residue fails its defining identity")
         # the witness and the spectrum, on integers over the cover order l
         l = self.cover_order
@@ -454,10 +455,7 @@ class ResidueReport:
             if v > 0 or value.numerator * l != v * value.denominator:
                 raise ResidueError("spectrum entry does not recompute")
         if self.blowup_split is not None and self.blowup_form is not None:
-            rebuilt = recombine_split(
-                self.blowup_split, self.blowup_form.variables, 0
-            )
-            if rebuilt != self.blowup_form:
+            if not _recombines(self.blowup_split, self.blowup_form, 0):
                 raise ResidueError("blow-up split does not recombine")
         second = self.second_residue
         if second is not None and not second.form.is_zero:
@@ -465,14 +463,14 @@ class ResidueReport:
             certificate = second.certificate
             if certificate is None:
                 raise ResidueError("second residue lacks its certificate")
-            factor = Polynomial.constant(chart_vars, self.jacobian_constant)
-            for name, exponent in zip(chart_vars, self.weight_system.cover_exponents[1:]):
-                factor = factor * (
-                    Polynomial.variable(chart_vars, name) ** (exponent - 1)
-                )
-            rhs = volume_form(chart_vars, certificate.numerator * factor)
-            lhs = wedge(
-                d_of_polynomial_over(second.relation, chart_vars), second.form
+            factor = Polynomial.single_term(
+                chart_vars,
+                [e - 1 for e in self.weight_system.cover_exponents[1:]],
+                self.jacobian_constant,
+            )
+            lhs = _Cleared().add_d_wedge(second.relation, second.form)
+            rhs = _Cleared().add(
+                tuple(range(len(chart_vars))), certificate.numerator * factor
             )
             if lhs != rhs:
                 raise ResidueError("second residue fails its defining identity")

@@ -1,7 +1,9 @@
 """Exact polynomial and rational function arithmetic."""
 
+import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -12,6 +14,8 @@ from resilift.algebra import (
     Polynomial,
     RationalFunction,
     ZeroDenominatorError,
+    _exponent_ranges,
+    _outside_hull,
     divide_with_remainder,
     divides,
     poly_with_variables,
@@ -170,6 +174,32 @@ def test_division_matches_sympy_random():
         terms = sympy.Poly(expr, *gens).as_dict() if expr != 0 else {}
         return Polynomial(XYZ, {e: F(int(c.p), int(c.q)) for e, c in terms.items()})
 
+    def check(p, d, q):
+        """Division and the probe against sympy; q is a known exact quotient."""
+        quot, rem = divide_with_remainder(p, d)
+        assert quot * d + rem == p
+        sq, sr = sympy.reduced(to_sympy(p), [to_sympy(d)], *gens, order="grlex")
+        assert quot == from_sympy(sq[0] if sq else 0)  # sympy gives [] for p = 0
+        assert rem == from_sympy(sr)
+        # the heap visits terms in the order of a full rescan: same dicts, same order
+        ref_quot, ref_rem = _scan_division(p, d)
+        assert list(quot.terms.items()) == list(ref_quot.items())
+        assert list(rem.terms.items()) == list(ref_rem.items())
+        ok, found = divides(d, p)
+        assert ok == rem.is_zero
+        if q is not None:
+            assert ok and found == q
+            assert list(found.terms) == list(quot.terms)
+        elif not ok:
+            assert found is None
+        # internally built keys behave like checked ones
+        for poly in (p, quot, rem):
+            for mono in poly.terms:
+                twin = Monomial(mono.exponents)
+                assert mono == twin and hash(mono) == hash(twin)
+                assert twin in poly.terms and mono.degree == twin.degree
+        return ok
+
     rng = random.Random(20211)
     rejected = 0
     for case in range(240):
@@ -186,29 +216,50 @@ def test_division_matches_sympy_random():
         else:
             q = None
             p = random_polynomial(rng, max_degree=5, max_terms=6)
-        quot, rem = divide_with_remainder(p, d)
-        assert quot * d + rem == p
-        sq, sr = sympy.reduced(to_sympy(p), [to_sympy(d)], *gens, order="grlex")
-        assert quot == from_sympy(sq[0] if sq else 0)  # sympy gives [] for p = 0
-        assert rem == from_sympy(sr)
-        # the heap visits terms in the order of a full rescan: same dicts, same order
-        ref_quot, ref_rem = _scan_division(p, d)
-        assert list(quot.terms.items()) == list(ref_quot.items())
-        assert list(rem.terms.items()) == list(ref_rem.items())
-        ok, found = divides(d, p)
-        assert ok == rem.is_zero
-        if q is not None:
-            assert ok and found == q
-        elif not ok:
-            assert found is None
+        if not check(p, d, q):
             rejected += 1
-        # internally built keys behave like checked ones
-        for poly in (p, quot, rem):
-            for mono in poly.terms:
-                twin = Monomial(mono.exponents)
-                assert mono == twin and hash(mono) == hash(twin)
-                assert twin in poly.terms and mono.degree == twin.degree
     assert rejected > 0
+
+    # weighted-homogeneous p: its exponent differences span only the plane
+    # orthogonal to the weights, so a non-homogeneous d is rejected without
+    # dividing, while products q*d of homogeneous factors still divide
+    rng = random.Random(8)
+    hull_rejected = 0
+    for case in range(90):
+        weights = [rng.randint(1, 3) for _ in XYZ]
+        q = _weighted_homogeneous(rng, weights, rng.randint(2, 6))
+        d = _weighted_homogeneous(rng, weights, rng.randint(1, 6))
+        if q.is_zero or d.is_zero:  # no monomial of that weighted degree
+            continue
+        if case % 2:
+            p = q * d
+        else:
+            # two terms one step apart along an axis: small ranges, unequal
+            # weighted degrees
+            e = [rng.randint(0, 2) for _ in XYZ]
+            step = list(e)
+            step[rng.randrange(3)] += 1
+            p, q = q, None
+            d = Polynomial(XYZ, {tuple(e): rng.randint(1, 5), tuple(step): -1})
+            assert _outside_hull(d, p)
+            hull_rejected += not any(
+                rp < rd for rp, rd in zip(_exponent_ranges(p), _exponent_ranges(d))
+            )
+        assert check(p, d, q) == (q is not None)
+    assert hull_rejected > 20
+
+
+def _weighted_homogeneous(rng, weights, degree):
+    """A random polynomial whose terms all have weighted degree degree."""
+    monomials = [
+        e
+        for e in itertools.product(*(range(degree // w + 1) for w in weights))
+        if sum(map(mul, e, weights)) == degree
+    ]
+    chosen = rng.sample(monomials, min(len(monomials), rng.randint(2, 5)))
+    return Polynomial(
+        XYZ, {e: F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4)) for e in chosen}
+    )
 
 
 def test_with_variables_rename_and_extend():

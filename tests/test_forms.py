@@ -15,14 +15,17 @@ from resilift.algebra import (
 from resilift.forms import (
     DifferentialForm,
     SplitError,
+    SplitResult,
+    _Cleared,
+    _recombines,
     basis_form,
     d_of_polynomial,
+    d_of_polynomial_over,
     differential,
     equal_mod_hypersurface,
     exterior_derivative,
     form_with_variables,
     pullback,
-    recombine_split,
     scalar_mod_hypersurface,
     split_du0,
     volume_form,
@@ -233,7 +236,123 @@ def test_split_du0_and_recombine():
     assert split.exponent == 3
     assert not split.du0_factor.is_zero
     assert not split.remainder.is_zero
-    assert recombine_split(split, u, 0) == form
+    assert _recombines(split, form, 0)
+    assert not _recombines(SplitResult(4, split.du0_factor, split.remainder), form, 0)
+
+
+def _reference_recombine(split, variables, var_index=0):
+    """u^e du /\\ du0_factor + remainder, re-expanded through normalized wedges."""
+    if split.exponent is None:
+        return split.remainder
+    u = Polynomial.variable(variables, variables[var_index])
+    if split.exponent >= 0:
+        power = RationalFunction.from_polynomial(u**split.exponent)
+    else:
+        power = RationalFunction(Polynomial.one(variables), u ** (-split.exponent))
+    du = basis_form(variables, (var_index,))
+    return wedge(du * power, split.du0_factor) + split.remainder
+
+
+def _without_first(p):
+    """p with the first variable set to 1."""
+    terms = [((0,) + m.exponents[1:], c) for m, c in p.terms.items()]
+    return Polynomial(p.variables, terms)
+
+
+def _random_triples(rng, variables, count):
+    """(key, num, den) with nonzero num and distinct non-constant dens free of
+    the first variable; about half the keys contain index 0."""
+    n = len(variables)
+    triples = []
+    while len(triples) < count:
+        num = random_polynomial(rng, variables, max_degree=2)
+        den = random_polynomial(rng, variables, max_degree=2, max_terms=2)
+        den = _without_first(den)
+        if num.is_zero or den.is_constant or any(den == t[2] for t in triples):
+            continue
+        rest = rng.sample(range(1, n), rng.randint(0, n - 1))
+        key = tuple(sorted(rest + [0] * (rng.random() < 0.5)))
+        triples.append((key, num, den))
+    return triples
+
+
+def _as_form(variables, triples):
+    return DifferentialForm(
+        variables, [(key, RationalFunction(num, den)) for key, num, den in triples]
+    )
+
+
+def _as_cleared(triples):
+    cleared = _Cleared()
+    for key, num, den in triples:
+        cleared.add(key, num, den)
+    return cleared
+
+
+def _rewritten(rng, triples):
+    """The same sum written another way: each pair scaled above and below by
+    a random factor, or split into two numerators over its denominator."""
+    out = []
+    for key, num, den in triples:
+        factor = random_polynomial(rng, num.variables, max_degree=1, max_terms=2)
+        if rng.random() < 0.5 and not factor.is_zero:
+            out.append((key, num * factor, den * factor))
+        else:
+            part = random_polynomial(rng, num.variables, max_degree=2)
+            out += [(key, num - part, den), (key, part, den)]
+    rng.shuffle(out)
+    return out
+
+
+def test_cleared_identities_agree_with_normalized_forms():
+    rng = random.Random(41)
+    outcomes = []
+    for case in range(45):
+        variables = tuple(f"v{i}" for i in range(2 + case % 3))
+        one = Polynomial.one(variables)
+        triples = _random_triples(rng, variables, rng.randint(2, 4))
+        form = _as_form(variables, triples)
+        same = _rewritten(rng, triples)
+        key, num, _ = rng.choice(triples)
+        lead = Polynomial.single_term(variables, num.leading_term()[0].exponents)
+        off = same + [(key, lead, one)]
+        for other in (same, off):
+            expected = form == _as_form(variables, other)
+            assert (_as_cleared(triples) == _as_cleared(other)) is expected
+            outcomes.append(expected)
+
+        # df /\ r == eta, against the normalized wedge as the reference
+        f = random_polynomial(rng, variables, max_degree=3, max_terms=4)
+        df = d_of_polynomial_over(f, variables)
+        eta = wedge(df, form)
+        for target in (eta, eta + basis_form(variables, key, f)):
+            expected = wedge(df, form) == target
+            cleared = _Cleared().add_d_wedge(f, form)
+            assert (cleared == _Cleared().add_form(target)) is expected
+            outcomes.append(expected)
+
+        # u0^e du0 /\ r + theta, against the old normalized recombination
+        e = rng.randint(-2, 2)
+        u0 = Polynomial.variable(variables, variables[0]) ** abs(e)
+        pure = []
+        for k, n, d in triples:
+            if 0 in k:
+                n = _without_first(n)
+                n, d = (n * u0, d) if e >= 0 else (n, d * u0)
+            pure.append((k, n, d))
+        pure = _as_form(variables, pure)
+        split = split_du0(pure, 0)
+        mutants = [split]
+        if split.exponent is not None:
+            mutants += [
+                SplitResult(split.exponent + 1, split.du0_factor, split.remainder),
+                SplitResult(split.exponent, split.du0_factor * 2, split.remainder),
+            ]
+        for mutant in mutants:
+            expected = _reference_recombine(mutant, variables) == pure
+            assert _recombines(mutant, pure) is expected
+            outcomes.append(expected)
+    assert outcomes.count(True) > 60 and outcomes.count(False) > 60
 
 
 def test_split_du0_mixed_powers_rejected():

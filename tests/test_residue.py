@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from resilift import algebra
 from resilift.algebra import Polynomial, RationalFunction
 from resilift.criteria import (
     INCONCLUSIVE,
@@ -19,6 +20,7 @@ from resilift.criteria import (
 )
 from resilift.forms import (
     DifferentialForm,
+    basis_form,
     d_of_polynomial,
     differential,
     equal_mod_hypersurface,
@@ -30,6 +32,7 @@ from resilift.residue import (
     ChartForm,
     DegenerateChartError,
     ImpureNumeratorError,
+    NonvanishingCertificate,
     ResidueError,
     analyze,
     blowup_exponent_formula,
@@ -248,6 +251,116 @@ def test_verify_rejects_corrupted_spectrum_and_witness():
         for mutant in _spectrum_mutations(report):
             with pytest.raises(ResidueError):
                 mutant.verify()
+
+
+def _scaled_first(form, factor):
+    """form with its first component times factor."""
+    first = next(iter(form.components))
+    return DifferentialForm(
+        form.variables,
+        {key: c * factor if key == first else c for key, c in form.components.items()},
+    )
+
+
+def _form_mutations(report):
+    """Reports with one corrupted field of a form identity, by name, each with
+    the failure message of that identity."""
+    replace = dataclasses.replace
+    leray = report.leray
+    split = report.blowup_split
+    variables = report.blowup_form.variables
+    u1 = Polynomial.variable(variables, variables[1])
+    extra = basis_form(variables, tuple(range(1, len(variables))), u1)
+    splits = {
+        "exponent +1": replace(split, exponent=split.exponent + 1),
+        "exponent -1": replace(split, exponent=split.exponent - 1),
+        "du0 factor scaled": replace(
+            split, du0_factor=_scaled_first(split.du0_factor, 3)
+        ),
+        "remainder extended": replace(split, remainder=split.remainder + extra),
+    }
+    leray_failure = "stored residue fails"
+    mutants = {
+        "leray scaled": (
+            replace(report, leray=replace(leray, form=leray.form * 2)),
+            leray_failure,
+        ),
+        "leray sign": (
+            replace(report, leray=replace(leray, form=-leray.form)),
+            leray_failure,
+        ),
+    }
+    for name, corrupted in splits.items():
+        mutants[name] = (
+            replace(report, blowup_split=corrupted),
+            "split does not recombine",
+        )
+    second = report.second_residue
+    if second is not None and not second.form.is_zero:
+        certificate = second.certificate
+        changed = NonvanishingCertificate(
+            certificate.numerator + Polynomial.one(second.form.variables),
+            certificate.relation,
+        )
+        second_failure = "second residue fails"
+        mutants["second residue scaled"] = (
+            replace(report, second_residue=replace(second, form=second.form * F(1, 2))),
+            second_failure,
+        )
+        mutants["certificate changed"] = (
+            replace(report, second_residue=replace(second, certificate=changed)),
+            second_failure,
+        )
+    return mutants
+
+
+def test_verify_rejects_corrupted_form_identities(fermat, wf):
+    z0, z1, z2 = Polynomial.generators(Z)
+    lifts = analyze(
+        z0**5 + z1**5 + z2**7, Polynomial.one(Z), WeightSystem(("1/5", "1/5", "1/7"))
+    )
+    obstructed = analyze(
+        z0**4 + z1**4 + z2**8, z2**3, WeightSystem(("1/4", "1/4", "1/8"))
+    )
+    mixed = analyze(fermat, Polynomial.one(Z) + z0, wf)
+    assert [r.verdict.kind for r in (lifts, obstructed, mixed)] == [
+        LIFTS,
+        OBSTRUCTED,
+        OBSTRUCTED,
+    ]
+    for report in (lifts, obstructed, mixed):
+        assert report.verify()
+        mutants = _form_mutations(report)
+        assert len(mutants) == (6 if report is lifts else 8)
+        for name, (mutant, failure) in mutants.items():
+            with pytest.raises(ResidueError, match=failure):
+                mutant.verify()
+                pytest.fail(f"verify() accepted the mutation: {name}")
+
+
+def test_verify_builds_no_rational_function(monkeypatch, fermat, wf):
+    counts = {"RationalFunction": 0, "divide_with_remainder": 0}
+    init = RationalFunction.__init__
+    divide = algebra.divide_with_remainder
+
+    def counting_init(self, *args):
+        counts["RationalFunction"] += 1
+        init(self, *args)
+
+    def counting_divide(*args):
+        counts["divide_with_remainder"] += 1
+        return divide(*args)
+
+    monkeypatch.setattr(RationalFunction, "__init__", counting_init)
+    monkeypatch.setattr(algebra, "divide_with_remainder", counting_divide)
+    z0 = Polynomial.variable(Z, "z0")
+    for g in (Polynomial.one(Z), Polynomial.one(Z) + z0):
+        report = analyze(fermat, g, wf)
+        assert report.verdict.kind == OBSTRUCTED
+        assert all(counts.values())  # the counters see analyze's work
+        counts.update(dict.fromkeys(counts, 0))
+        assert report.verify()
+        assert counts == {"RationalFunction": 0, "divide_with_remainder": 0}
 
 
 def test_analyze_inconclusive_report(fermat, wf):

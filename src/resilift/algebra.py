@@ -1,8 +1,15 @@
 """Exact sparse multivariate polynomial and rational function arithmetic.
 
-Coefficients are `fractions.Fraction` values throughout, so nothing in this
-module ever rounds.  Polynomials are sparse maps from exponent vectors to
-nonzero coefficients over a fixed, ordered tuple of variable names.  Rational
+Coefficients are exact rationals, so nothing in this module ever rounds: an
+int when the value is integral and a `fractions.Fraction` otherwise, so ring
+operations on integral data run on int.  The constructor stores a bool or an
+integral Fraction as its int.  Every coefficient division goes through
+`_divide`, which divides exactly and gives back an int for an integral
+quotient (int / int would be a float).  A sum or product of Fractions that
+happens to be integral may stay a Fraction; it equals, hashes and renders as
+the int.  `evaluate` at exact inputs returns a Fraction.  Polynomials are
+sparse maps from exponent vectors to nonzero coefficients over a fixed,
+ordered tuple of variable names.  Rational
 functions hold an exact numerator/denominator pair; on construction they
 cancel common monomial content, cancel exact polynomial factors found by
 division probes, and scale the denominator so its leading coefficient under
@@ -23,7 +30,8 @@ along the total degree the range max - min of p is that of q plus that of d,
 and a smaller range of p proves d does not divide p without dividing.  For
 the same reason the affine hull of p's exponents contains a translate of d's,
 so a difference of two exponent vectors of d outside the span of p's
-differences rejects as well.
+differences rejects as well.  A single term c*u^a needs no division: it
+divides p exactly when a is at most the monomial content of p.
 
 Scalar prefactors that are not rational (2*pi*i and friends) never enter
 this layer; higher layers carry them as symbolic tags.
@@ -34,13 +42,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, gt, neg, sub
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class AlgebraError(Exception):
@@ -55,12 +62,25 @@ class ZeroDenominatorError(AlgebraError):
     """A rational function was given, or acquired, a zero denominator."""
 
 
-def _coerce_fraction(value) -> Fraction:
+def _coerce_coefficient(value) -> Scalar:
+    """An int for integral values (bools included), a Fraction otherwise."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise AlgebraError(f"expected an integer or Fraction coefficient, got {value!r}")
+
+
+def _divide(a: Scalar, b: Scalar) -> Scalar:
+    """a / b exactly: an int when the quotient is integral, else a Fraction.
+
+    The one place coefficients divide; int / int would give a float.
+    """
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 class Monomial:
@@ -113,11 +133,6 @@ class Monomial:
             raise AlgebraError(f"{other.exponents} does not divide {self.exponents}")
         return _monomial(tuple(map(sub, self.exponents, other.exponents)))
 
-    def weighted_degree(self, weights: Sequence[Fraction]) -> Fraction:
-        if len(weights) != len(self.exponents):
-            raise ArityError("weight vector arity does not match monomial")
-        return sum((w * e for w, e in zip(weights, self.exponents)), _ZERO)
-
 
 # slot setters that bypass the immutability guard, for construction only
 _set_exponents = Monomial.exponents.__set__
@@ -151,7 +166,7 @@ class Polynomial:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise AlgebraError(f"duplicate variable names: {variables}")
-        clean: Dict[Monomial, Fraction] = {}
+        clean: Dict[Monomial, Scalar] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for key, value in items:
             mono = key if isinstance(key, Monomial) else Monomial(tuple(key))
@@ -159,7 +174,7 @@ class Polynomial:
                 raise ArityError(
                     f"exponent vector {mono.exponents} does not match variables {variables}"
                 )
-            coeff = _coerce_fraction(value)
+            coeff = _coerce_coefficient(value)
             if coeff:
                 _accumulate(clean, mono, coeff)
         _set_variables(self, variables)
@@ -212,19 +227,19 @@ class Polynomial:
         terms = self.terms
         return not terms or (len(terms) == 1 and next(iter(terms)).degree == 0)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant:
             raise AlgebraError(f"{self} is not a constant")
         for coeff in self.terms.values():
             return coeff
-        return _ZERO
+        return 0
 
     def total_degree(self) -> int:
         if self.is_zero:
             raise AlgebraError("degree of the zero polynomial is undefined")
         return max(m.degree for m in self.terms)
 
-    def leading_term(self) -> Tuple[Monomial, Fraction]:
+    def leading_term(self) -> Tuple[Monomial, Scalar]:
         """Largest term under graded lexicographic order on the declared variables."""
         if self.is_zero:
             raise AlgebraError("the zero polynomial has no leading term")
@@ -297,7 +312,7 @@ class Polynomial:
         if other is None:
             return NotImplemented
         # accumulate on exponent tuples, whose hash and equality run in C
-        out: Dict[Tuple[int, ...], Fraction] = {}
+        out: Dict[Tuple[int, ...], Scalar] = {}
         right = [(m.exponents, c) for m, c in other.terms.items()]
         for m1, c1 in self.terms.items():
             e1 = m1.exponents
@@ -341,7 +356,7 @@ class Polynomial:
         if not 0 <= index < len(self.variables):
             raise ArityError(f"variable index {index} out of range for {self.variables}")
         # lowering one exponent is injective on the terms it keeps: no collisions
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Scalar] = {}
         for mono, coeff in self.terms.items():
             exps = mono.exponents
             e = exps[index]
@@ -394,7 +409,7 @@ class Polynomial:
             row = tuple((j, m) for j, m in enumerate(mono.exponents) if m)
             rows.append((row, None if c == 1 else c))
         width = len(target)
-        out: Dict[Tuple[int, ...], Fraction] = {}
+        out: Dict[Tuple[int, ...], Scalar] = {}
         for mono, coeff in self.terms.items():
             exps = [0] * width
             for e, (row, c) in zip(mono.exponents, rows):
@@ -422,7 +437,8 @@ class Polynomial:
             total = prod if total is None else total + prod
         if total is None:
             return _ZERO
-        return total
+        # exact inputs give a Fraction, also when every coefficient and value is an int
+        return Fraction(total) if total.__class__ is int else total
 
     # -- rendering -------------------------------------------------------
 
@@ -461,8 +477,8 @@ class Polynomial:
         return f"Polynomial({str(self)!r}, variables={self.variables})"
 
 
-def _polynomial(variables: Tuple[str, ...], terms: Dict[Monomial, Fraction]) -> Polynomial:
-    """Wrap a clean {Monomial: nonzero Fraction} dict over checked variables.
+def _polynomial(variables: Tuple[str, ...], terms: Dict[Monomial, Scalar]) -> Polynomial:
+    """Wrap a clean {Monomial: nonzero coefficient} dict over checked variables.
 
     The trusted counterpart of Polynomial(...), for results built here.
     """
@@ -476,7 +492,7 @@ _set_variables = Polynomial.variables.__set__
 _set_terms = Polynomial.terms.__set__
 
 
-def _accumulate(out: dict, key, value: Fraction) -> None:
+def _accumulate(out: dict, key, value: Scalar) -> None:
     """out[key] += value, dropping the key when the sum is zero."""
     old = out.get(key)
     if old is None:
@@ -506,14 +522,14 @@ def divide_with_remainder(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Pol
     # negated exponents, exponents) for every key inserted into work, so its
     # top is the graded-lex largest term.  Every term a step adds is below the
     # one it removes, so an entry whose key has left work is stale for good.
-    work: Dict[Tuple[int, ...], Fraction] = {}
+    work: Dict[Tuple[int, ...], Scalar] = {}
     heap = []
     for mono, coeff in p.terms.items():
         work[mono.exponents] = coeff
         heap.append((-mono.degree, tuple(map(neg, mono.exponents)), mono.exponents))
     heapq.heapify(heap)
-    quot: Dict[Monomial, Fraction] = {}
-    rem: Dict[Monomial, Fraction] = {}
+    quot: Dict[Monomial, Scalar] = {}
+    rem: Dict[Monomial, Scalar] = {}
     while heap:
         exps = heapq.heappop(heap)[2]
         coeff = work.pop(exps, None)
@@ -523,7 +539,7 @@ def divide_with_remainder(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Pol
         if min(qe, default=0) < 0:
             rem[_monomial(exps)] = coeff
             continue
-        qc = coeff / lead_coeff
+        qc = _divide(coeff, lead_coeff)
         quot[_monomial(qe)] = qc
         for de, dc in rest:
             key = tuple(map(add, qe, de))
@@ -583,14 +599,19 @@ def _outside_hull(d: Polynomial, p: Polynomial) -> bool:
 def divides(d: Polynomial, p: Polynomial) -> Tuple[bool, Polynomial]:
     """Exact divisibility probe; returns (True, quotient) or (False, None).
 
-    A nonzero p = q*d has every exponent range of d plus that of q, and the
-    affine hull of its Newton polytope contains a translate of d's (see the
-    module docstring), so a range of p below that of d, or a difference of
-    d's exponents outside the span of p's, rejects at once.
+    A single term c*u^a divides p exactly when a is at most the monomial
+    content of p; the quotient is then built directly, in the graded-lex
+    descending order the division emits.  A nonzero p = q*d has every
+    exponent range of d plus that of q, and the affine hull of its Newton
+    polytope contains a translate of d's (see the module docstring), so a
+    range of p below that of d, or a difference of d's exponents outside the
+    span of p's, rejects at once.
     """
     if d.is_zero:
         raise AlgebraError("divisibility by the zero polynomial is undefined")
     p._check_same_variables(d)
+    if len(d.terms) == 1:
+        return _divides_by_term(d, p)
     if p.terms and (
         any(rp < rd for rp, rd in zip(_exponent_ranges(p), _exponent_ranges(d)))
         or _outside_hull(d, p)
@@ -600,6 +621,18 @@ def divides(d: Polynomial, p: Polynomial) -> Tuple[bool, Polynomial]:
     if r.is_zero:
         return True, q
     return False, None
+
+
+def _divides_by_term(d: Polynomial, p: Polynomial) -> Tuple[bool, Polynomial]:
+    """divides(d, p) for a single-term d, by comparing exponents."""
+    ((mono, c),) = d.terms.items()
+    shift = mono.exponents
+    if p.terms and any(map(gt, shift, p.monomial_content().exponents)):
+        return False, None
+    quot = {}
+    for m in sorted(p.terms, key=_grlex_key, reverse=True):
+        quot[_monomial(tuple(map(sub, m.exponents, shift)))] = _divide(p.terms[m], c)
+    return True, _polynomial(p.variables, quot)
 
 
 def poly_with_variables(p: Polynomial, variables: Sequence[str]) -> Polynomial:
@@ -676,13 +709,13 @@ class RationalFunction:
         if den.is_constant:
             value = den.constant_value()
             if value != 1:
-                num = num * (1 / value)
+                num = _divided(num, value)
                 den = Polynomial.one(num.variables)
         else:
             lead = den.leading_term()[1]
             if lead != 1:
-                num = num * (1 / lead)
-                den = den * (1 / lead)
+                num = _divided(num, lead)
+                den = _divided(den, lead)
         return num, den
 
     @classmethod
@@ -815,6 +848,11 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({str(self)!r})"
+
+
+def _divided(p: Polynomial, value: Scalar) -> Polynomial:
+    """p / value, coefficient by coefficient, for a nonzero scalar value."""
+    return _polynomial(p.variables, {m: _divide(c, value) for m, c in p.terms.items()})
 
 
 def _shift_down(p: Polynomial, shift: Tuple[int, ...]) -> Polynomial:

@@ -37,6 +37,8 @@ from .algebra import (
     Polynomial,
     RationalFunction,
     ZeroDenominatorError,
+    _divide,
+    _divided,
     divide_with_remainder,
     divides,
     poly_with_variables,
@@ -338,7 +340,7 @@ class _Cleared:
     def add(self, key, num: Polynomial, den: Optional[Polynomial] = None):
         """Add num/den at the basis key; returns self."""
         if den is not None and den.is_constant:
-            num, den = num * (1 / den.constant_value()), None
+            num, den = _divided(num, den.constant_value()), None
         pairs = self.parts.setdefault(key, [])
         for pair in pairs:
             if pair[1] == den:
@@ -452,7 +454,7 @@ def _pullback_monomial(
         den = coeff.den.substitute(images)
         if den.is_zero:
             raise ZeroDenominatorError("substitution sends the denominator to zero")
-        scale = Fraction(1)
+        scale = 1
         base = [0] * width
         for i in key:
             exps, c = rows[i]
@@ -695,7 +697,7 @@ def scalar_mod_hypersurface(
         mono, coeff = v.leading_term()
         if mono not in u.terms:
             return None
-        ratio = u.terms[mono] / coeff
+        ratio = _divide(u.terms[mono], coeff)
         if u != v * ratio:
             return None
         if candidate is None:

@@ -222,7 +222,7 @@ class _Parser:
         token = self.current
         if token.kind == "number":
             self.advance()
-            value = Fraction(int(token.text))
+            value = int(token.text)
             if self.current.kind == "/":
                 if not coefficient_position:
                     self.fail(

@@ -11,6 +11,12 @@ dz0 /\ ... /\ dzn), cover_order is the least positive integer clearing all
 weight denominators, cover_exponents are the integers cover_order * a_i,
 and jacobian_constant is their product, the constant picked up when the
 volume form is pulled back through the cover z_i -> z_i^(cover_order*a_i).
+
+Weighted degrees are computed on integers over the cover order l: l times
+the degree of z^e is sum e_i * cover_exponents_i.  valuation_poly,
+is_quasihomogeneous and quasi_decompose build one Fraction(v, l) per
+distinct degree, so weights, valuations and decomposition keys are still
+Fractions.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Optional, Sequence, Tuple
 
-from .algebra import Polynomial
+from .algebra import Polynomial, _polynomial
 from .forms import DifferentialForm
 
 
@@ -125,12 +132,18 @@ def _check_arity(p: Polynomial, w: WeightSystem):
         )
 
 
+def _scaled_degree(mono, exponents: Tuple[int, ...]) -> int:
+    """cover_order times the weighted degree of a monomial, as an int."""
+    return sum(map(mul, mono.exponents, exponents))
+
+
 def valuation_poly(p: Polynomial, w: WeightSystem) -> Fraction:
     """Max over monomials of the weighted degree; undefined for zero."""
     _check_arity(p, w)
     if p.is_zero:
         raise WeightError("valuation of the zero polynomial is undefined")
-    return max(m.weighted_degree(w.weights) for m in p.terms)
+    e = w.cover_exponents
+    return Fraction(max(_scaled_degree(m, e) for m in p.terms), w.cover_order)
 
 
 def valuation_form(f: DifferentialForm, w: WeightSystem) -> Tuple[Fraction, bool]:
@@ -161,9 +174,10 @@ def is_quasihomogeneous(
     _check_arity(p, w)
     if p.is_zero:
         raise WeightError("quasihomogeneity of the zero polynomial is undefined")
-    degrees = {m.weighted_degree(w.weights) for m in p.terms}
+    e = w.cover_exponents
+    degrees = {_scaled_degree(m, e) for m in p.terms}
     if len(degrees) == 1:
-        return True, degrees.pop()
+        return True, Fraction(degrees.pop(), w.cover_order)
     return False, None
 
 
@@ -172,12 +186,14 @@ def quasi_decompose(p: Polynomial, w: WeightSystem) -> QuasiDecomposition:
     _check_arity(p, w)
     if p.is_zero:
         raise WeightError("cannot decompose the zero polynomial")
-    buckets: Dict[Fraction, dict] = {}
+    e = w.cover_exponents
+    buckets: Dict[int, dict] = {}
     for mono, coeff in p.terms.items():
-        key = mono.weighted_degree(w.weights)
-        buckets.setdefault(key, {})[mono] = coeff
+        buckets.setdefault(_scaled_degree(mono, e), {})[mono] = coeff
+    # the buckets split the clean terms of p, so they need no second check
+    l = w.cover_order
     return QuasiDecomposition(
-        {key: Polynomial(p.variables, terms) for key, terms in buckets.items()}
+        {Fraction(v, l): _polynomial(p.variables, terms) for v, terms in buckets.items()}
     )
 
 

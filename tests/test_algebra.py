@@ -70,6 +70,33 @@ def test_evaluate_exact_and_float():
     p = x**2 + y * z * 2
     assert p.evaluate((F(1, 2), F(3), F(1))) == F(25, 4)
     assert p.evaluate((0.5, 3.0, 1.0)) == pytest.approx(6.25)
+    # integral coefficients are ints, yet exact inputs give a Fraction
+    for values in ((1, 3, 1), (F(1), F(3), F(1))):
+        value = p.evaluate(values)
+        assert value == 7 and type(value) is Fraction
+    value = Polynomial.zero(XYZ).evaluate((1, 2, 3))
+    assert value == 0 and type(value) is Fraction
+
+
+def test_integral_coefficients_are_ints():
+    x, y, z = Polynomial.generators(XYZ)
+    assert all(type(c) is int for c in (x**3 * 6 - y * z * 2 + 5).terms.values())
+    # 3 and Fraction(3) are one coefficient, stored as the int
+    a = Polynomial(XYZ, {(1, 0, 0): 3, (0, 0, 0): F(-4, 2)})
+    b = Polynomial(XYZ, {(1, 0, 0): F(3), (0, 0, 0): -2})
+    assert a == b and list(a.terms.items()) == list(b.terms.items())
+    assert str(a) == str(b) == "3*x-2"
+    assert [type(c) for c in a.terms.values()] == [int, int]
+    # a bool coefficient is the int it stands for
+    t = Polynomial(XYZ, {(0, 1, 0): True, (0, 0, 0): True})
+    assert str(t) == "y+1" and t == y + 1
+    assert [type(c) for c in t.terms.values()] == [int, int]
+    # exact division keeps integral quotients ints
+    q = divide_with_remainder(x**2 * 4 - y * 6, Polynomial.constant(XYZ, 2))[0]
+    assert q == x**2 * 2 - y * 3 and {type(c) for c in q.terms.values()} == {int}
+    rf = RationalFunction(x * 6 + 3, y * 3)
+    assert str(rf) == "(2*x+1)/(y)"
+    assert {type(c) for c in rf.num.terms.values()} == {int}
 
 
 def test_partial_derivative():
@@ -127,7 +154,7 @@ def _scan_division(p, d):
         if not lead.divides(mono):
             rem[mono] = coeff
             continue
-        qm, qc = mono / lead, coeff / lead_coeff
+        qm, qc = mono / lead, Fraction(coeff) / lead_coeff
         quot[qm] = qc
         for dm, dc in d.terms.items():
             if dm != lead:
@@ -407,6 +434,9 @@ def test_rational_function_evaluate():
     x, y, _ = Polynomial.generators(XYZ)
     rf = RationalFunction(x**2 - y, y)
     assert rf.evaluate((F(3), F(2), F(0))) == F(7, 2)
+    # a quotient of int values stays a Fraction: no int / int true division
+    value = RationalFunction(x + 1, y + 2).evaluate((1, 1, 0))
+    assert value == F(2, 3) and type(value) is Fraction
     with pytest.raises(ZeroDivisionError):
         rf.evaluate((1.0, 0.0, 0.0))
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from resilift import algebra
+from resilift import algebra, forms, residue
 from resilift.algebra import Polynomial, RationalFunction
 from resilift.criteria import (
     INCONCLUSIVE,
@@ -338,29 +338,90 @@ def test_verify_rejects_corrupted_form_identities(fermat, wf):
                 pytest.fail(f"verify() accepted the mutation: {name}")
 
 
-def test_verify_builds_no_rational_function(monkeypatch, fermat, wf):
-    counts = {"RationalFunction": 0, "divide_with_remainder": 0}
+def _count_algebra_calls(monkeypatch):
+    """Counters of RationalFunction builds, divides probes and long divisions."""
+    counts = {"RationalFunction": 0, "divides": 0, "divide_with_remainder": 0}
     init = RationalFunction.__init__
-    divide = algebra.divide_with_remainder
 
     def counting_init(self, *args):
         counts["RationalFunction"] += 1
         init(self, *args)
 
-    def counting_divide(*args):
-        counts["divide_with_remainder"] += 1
-        return divide(*args)
+    def counting(name):
+        original = getattr(algebra, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return counted
 
     monkeypatch.setattr(RationalFunction, "__init__", counting_init)
-    monkeypatch.setattr(algebra, "divide_with_remainder", counting_divide)
+    # forms and residue import these names, so each module's binding is
+    # replaced by the same counter
+    for name in ("divides", "divide_with_remainder"):
+        counted = counting(name)
+        for module in (algebra, forms, residue):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_verify_builds_no_rational_function(monkeypatch, fermat, wf):
+    counts = _count_algebra_calls(monkeypatch)
     z0 = Polynomial.variable(Z, "z0")
     for g in (Polynomial.one(Z), Polynomial.one(Z) + z0):
         report = analyze(fermat, g, wf)
         assert report.verdict.kind == OBSTRUCTED
-        assert all(counts.values())  # the counters see analyze's work
+        # the counters see analyze's work
+        assert counts["RationalFunction"] and counts["divides"]
         counts.update(dict.fromkeys(counts, 0))
         assert report.verify()
-        assert counts == {"RationalFunction": 0, "divide_with_remainder": 0}
+        assert counts == {"RationalFunction": 0, "divides": 0, "divide_with_remainder": 0}
+
+
+def test_fermat_analyze_makes_no_long_division(monkeypatch, fermat, wf):
+    # every divisibility probe of this analysis is decided without a long
+    # division: a single-term divisor by its exponents, and the probe of `g`
+    # by the three-term `s` by the exponent-range test
+    counts = _count_algebra_calls(monkeypatch)
+    report = analyze(fermat, Polynomial.one(Z), wf)
+    assert report.verdict.kind == OBSTRUCTED and report.verify()
+    assert counts["divides"] and counts["divide_with_remainder"] == 0
+
+
+def _coefficients(obj):
+    """Every polynomial coefficient held anywhere in a report."""
+    if isinstance(obj, Polynomial):
+        yield from obj.terms.values()
+    elif isinstance(obj, RationalFunction):
+        yield from _coefficients(obj.num)
+        yield from _coefficients(obj.den)
+    elif isinstance(obj, DifferentialForm):
+        for coeff in obj.components.values():
+            yield from _coefficients(coeff)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for field in dataclasses.fields(obj):
+            yield from _coefficients(getattr(obj, field.name))
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from _coefficients(item)
+
+
+def test_report_coefficients_are_ints_or_fractions(fermat, wf):
+    z0, z1, z2 = Polynomial.generators(Z)
+    chain = z0**2 + z0 * z1**2 + z1 * z2**3
+    cases = [
+        (fermat, Polynomial.one(Z), wf, OBSTRUCTED),
+        (fermat, Polynomial.one(Z) + z0, wf, OBSTRUCTED),
+        (fermat, z0, wf, INCONCLUSIVE),
+        (chain, (1 + z0 + z1 + z2) ** 2, WeightSystem(("1/2", "1/4", "1/4")), OBSTRUCTED),
+    ]
+    for s, g, w, kind in cases:
+        report = analyze(s, g, w)
+        assert report.verdict.kind == kind and report.verify()
+        kinds = {type(c) for c in _coefficients(report)}
+        assert int in kinds and kinds <= {int, Fraction}
 
 
 def test_analyze_inconclusive_report(fermat, wf):

@@ -388,7 +388,9 @@ def cmd_batch(directory: str) -> int:
 
     workers = min(len(jobs), os.cpu_count() or 1, 8)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_run_batch_job, jobs))
+        # a few chunks per worker: one IPC round trip per chunk, not per job
+        chunksize = max(1, len(jobs) // (4 * workers))
+        results = list(pool.map(_run_batch_job, jobs, chunksize=chunksize))
     results.sort(key=lambda row: row[0])
     failed = False
     for name, code, message in results:

@@ -2,12 +2,15 @@
 determinism, batch mode."""
 
 import json
+import os
 
+import numpy as np
 import pytest
 
 from resilift import numint
-from resilift.cli import JobError, cmd_integrate, load_job, main
+from resilift.cli import JobError, _dump, cmd_integrate, load_job, main, report_to_dict
 from resilift.numint import SingularPointError
+from resilift.residue import analyze
 
 FERMAT_JOB = {
     "variables": ["z0", "z1", "z2"],
@@ -222,8 +225,44 @@ def test_integrate_matches_exact_evaluation(tmp_path, capsys, monkeypatch):
         return seen
 
     compiled = outputs()
-    monkeypatch.setattr(numint, "_float_evaluator", lambda p: lambda *v: float(p.evaluate(v)))
-    assert outputs() == compiled
+    for vector in (True, False):
+        monkeypatch.setattr(numint, "_float_evaluator", _exact_evaluator(vector))
+        assert outputs() == compiled
+
+
+def _exact_evaluator(vector: bool):
+    """A stand-in for ``numint._float_evaluator`` built on the exact evaluate.
+
+    The scalar form returns ``float(p.evaluate(values))`` for one argument
+    and the tuple of those for several.  The array form does the same
+    element by element, and raises FloatingPointError where that raises or
+    gives a non-finite value; with ``vector`` false it always raises, so
+    every chord pass and trace re-check runs its scalar loop.
+    """
+
+    def compile_exact(*polys, array=False):
+        def scalar(*values):
+            out = tuple(float(p.evaluate(values)) for p in polys)
+            return out if len(polys) > 1 else out[0]
+
+        if not array:
+            return scalar
+
+        def elementwise(*columns):
+            if not vector:
+                raise FloatingPointError("scalar loop forced")
+            try:
+                rows = [scalar(*values) for values in zip(*(c.tolist() for c in columns))]
+            except (ZeroDivisionError, OverflowError) as exc:
+                raise FloatingPointError(str(exc)) from exc
+            out = np.array(rows, dtype=float).reshape(len(rows), len(polys)).T
+            if not np.isfinite(out).all():
+                raise FloatingPointError("a value is not finite")
+            return tuple(out) if len(polys) > 1 else out[0]
+
+        return elementwise
+
+    return compile_exact
 
 
 def test_batch_mode(tmp_path, capsys):
@@ -237,6 +276,27 @@ def test_batch_mode(tmp_path, capsys):
     assert report["verdict"] == "OBSTRUCTED"
     # a second run skips the generated report files as inputs
     assert main(["--batch", str(tmp_path)]) == 0
+
+
+def test_batch_mode_many_jobs_per_worker(tmp_path, capsys):
+    """More jobs than 4 per worker go out in chunks; rows and reports are unchanged."""
+    workers = min(os.cpu_count() or 1, 8)
+    exponents = [(p, q, r) for p in (2, 3, 4) for q in (3, 4, 5) for r in (3, 4, 5, 6, 7)]
+    expected = {}
+    for p, q, r in exponents[: 4 * workers + 3]:
+        name = f"bp_{p}_{q}_{r}.json"
+        payload = dict(
+            FERMAT_JOB, s=f"z0^{p} + z1^{q} + z2^{r}", weights=[f"1/{p}", f"1/{q}", f"1/{r}"]
+        )
+        job = load_job(write_job(tmp_path, payload, name))
+        report = analyze(job.s, job.g, job.weights)
+        expected[name] = (report.verdict.kind, _dump(report_to_dict(report)))
+    assert len(expected) > 4 * workers
+    assert main(["--batch", str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows == [f"{name}: {verdict}" for name, (verdict, _) in sorted(expected.items())]
+    for name, (_, text) in expected.items():
+        assert (tmp_path / name).with_suffix(".report.json").read_text() == text
 
 
 def test_batch_mode_reports_failures(tmp_path, capsys):

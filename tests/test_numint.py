@@ -1,17 +1,24 @@
 """Curve tracing and numerical integration of 1-forms along traces."""
 
+import dataclasses
+import math
 import random
 import struct
 from fractions import Fraction
 
 import pytest
 
+from resilift import numint
 from resilift.algebra import Polynomial, RationalFunction
+from resilift.cli import _find_seed
 from resilift.forms import differential
 from resilift.numint import (
+    CurveTrace,
     DivergenceError,
+    NumericError,
     SeedingError,
     _float_evaluator,
+    _strict_floats,
     export_trace_csv,
     integrate_1form,
     trace_real_curve,
@@ -174,9 +181,10 @@ def _random_polynomial(rng):
     )
 
 
-def test_float_evaluator_is_bit_identical_to_evaluate():
-    import numpy as np
-
+def _evaluator_cases():
+    """Polynomials, rational functions and points on which the compiled
+    evaluators are compared: -0.0, zero denominators, overflow and a
+    coefficient beyond the float range all occur."""
     rng = random.Random(1811)
     u1, u2 = Polynomial.generators(UV)
     polys = [_random_polynomial(rng) for _ in range(40)]
@@ -206,9 +214,16 @@ def test_float_evaluator_is_bit_identical_to_evaluate():
     ]
     coords = [0.0, -0.0, 1.0, -2.5, 1e200] + [rng.uniform(-3, 3) for _ in range(7)]
     points = [(x, y) for x in coords for y in coords]
+    return polys + rationals, points
+
+
+def test_float_evaluator_is_bit_identical_to_evaluate():
+    import numpy as np
+
+    cases, points = _evaluator_cases()
     seen = set()
     with np.errstate(all="ignore"):
-        for p in polys + rationals:
+        for p in cases:
             compiled = _float_evaluator(p)
             for x, y in points:
                 for values in ((x, y), (np.float64(x), np.float64(y))):
@@ -218,3 +233,169 @@ def test_float_evaluator_is_bit_identical_to_evaluate():
     # the cases the comparison is meant to cover did occur
     assert struct.pack("<d", -0.0) in seen
     assert {o[0] for o in seen if isinstance(o, tuple)} == {ZeroDivisionError, OverflowError}
+
+
+def _array_outcome(vector, xs, ys):
+    """The bits of each value of vector(xs, ys) under _strict_floats, or None
+    when it raises FloatingPointError."""
+    try:
+        with _strict_floats():
+            values = vector(xs, ys)
+    except FloatingPointError:
+        return None
+    return [struct.pack("<d", v) for v in values.tolist()]
+
+
+def test_array_evaluator_matches_scalar_form():
+    """The array spelling equals the scalar form bit for bit, or raises
+    FloatingPointError; it raises wherever the scalar form raises."""
+    import numpy as np
+
+    cases, points = _evaluator_cases()
+    counts = {"equal": 0, "raised": 0}
+    for p in cases:
+        scalar = _float_evaluator(p)
+        vector = _float_evaluator(p, array=True)
+        expected = [_outcome(scalar, x, y) for x, y in points]
+        for (x, y), want in zip(points, expected):
+            got = _array_outcome(vector, np.array([x]), np.array([y]))
+            if got is None:
+                counts["raised"] += 1
+                # away from 1e200 nothing overflows that the scalar form survives
+                assert isinstance(want, tuple) or 1e200 in (x, y), (p, x, y)
+            else:
+                counts["equal"] += 1
+                assert got == [want], (p, x, y)
+        # long arrays take numpy's vectorized loops, where np.power would differ
+        rng = random.Random(29)
+        batch = [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(2000)]
+        for rows in (points, batch):
+            wanted = [_outcome(scalar, x, y) for x, y in rows]
+            whole = _array_outcome(vector, *(np.array(c) for c in zip(*rows)))
+            if whole is None:
+                assert any(isinstance(w, tuple) or 1e200 in xy for xy, w in zip(rows, wanted))
+            else:
+                assert whole == wanted, p
+    assert counts["equal"] > counts["raised"] > 0
+
+
+def test_fused_evaluator_returns_each_value_in_order():
+    """Several polynomials compile to one function returning the tuple of
+    their values; the first one that raises decides the error."""
+    import numpy as np
+
+    cases, points = _evaluator_cases()
+    for k in range(0, len(cases) - 2, 3):
+        group = cases[k : k + 3]
+        singles = [_float_evaluator(p) for p in group]
+        fused = _float_evaluator(*group)
+        fused_vector = _float_evaluator(*group, array=True)
+        for x, y in points:
+            outcomes = [_outcome(single, x, y) for single in singles]
+            errors = [o for o in outcomes if isinstance(o, tuple)]
+            try:
+                got = [struct.pack("<d", v) for v in fused(x, y)]
+            except (ZeroDivisionError, OverflowError) as exc:
+                got = (type(exc), str(exc))
+                assert got == errors[0]
+            else:
+                assert got == outcomes
+            try:
+                with _strict_floats():
+                    columns = fused_vector(np.array([x]), np.array([y]))
+            except FloatingPointError:
+                assert errors or 1e200 in (x, y)
+            else:
+                assert [struct.pack("<d", c[0]) for c in columns] == outcomes
+
+
+def _bits(result):
+    return repr(dataclasses.astuple(result))
+
+
+@pytest.mark.parametrize("hesse", [False, True], ids=["fermat", "hesse"])
+def test_vector_and_scalar_chord_passes_agree(hesse, fermat_trace, monkeypatch):
+    import numpy as np
+
+    z = ("z0", "z1", "z2")
+    z0, z1, z2 = Polynomial.generators(z)
+    s = z0**3 + z1**3 + z2**3
+    if hesse:
+        s = s - z0 * z1 * z2
+    second = analyze(s, Polynomial.one(z), WeightSystem(("1/3", "1/3", "1/3"))).second_residue
+    trace = fermat_trace
+    if hesse:
+        trace = trace_real_curve(second.relation, _find_seed(second.relation), F(1, 100), 1200)
+    u1, u2 = Polynomial.generators(UV)
+    rotation = (differential(UV, "u2") * u1 - differential(UV, "u1") * u2) * F(1, 3)
+    n = len(trace)
+    results = []
+    for form in (second.form, rotation):
+        ig = numint._Integrand(form, trace)
+        for index in (np.arange(n), np.arange(0, n, 2)):
+            with _strict_floats():
+                vector = numint._vector_gauss(ig, index)
+            scalar = list(numint._scalar_gauss(ig, index.tolist()))
+            assert [struct.pack("<d", v) for v in vector] == [
+                struct.pack("<d", v) for v in scalar
+            ]
+            if form is second.form and not hesse:
+                # the Fermat pole lies on the curve: some chords are regularized
+                assert any(math.isnan(v) for v in vector)
+        results.append(_bits(integrate_1form(form, trace)))
+
+    def scalar_only(ig, index):
+        raise FloatingPointError("scalar loop forced")
+
+    monkeypatch.setattr(numint, "_vector_gauss", scalar_only)
+    assert [_bits(integrate_1form(form, trace)) for form in (second.form, rotation)] == results
+
+
+def test_overflow_raises_the_same_error_both_ways(monkeypatch):
+    """Along u2 = 0 out to u1 = 1e200, the denominator u1^3 overflows: the
+    array pass falls back and the scalar loop raises its OverflowError."""
+    import numpy as np
+
+    u1, u2 = Polynomial.generators(UV)
+    samples = np.array([(x, 0.0) for x in np.geomspace(0.5, 1e200, 40)])
+    trace = CurveTrace(u2, samples, False)
+    form = differential(UV, "u1") * RationalFunction(Polynomial.one(UV), u1**3)
+    vector_gauss = numint._vector_gauss
+    fallbacks = []
+
+    def spy(ig, index):
+        try:
+            return vector_gauss(ig, index)
+        except FloatingPointError:
+            fallbacks.append(len(index))
+            raise
+
+    monkeypatch.setattr(numint, "_vector_gauss", spy)
+    with pytest.raises(OverflowError) as vector:
+        integrate_1form(form, trace)
+    assert fallbacks == [len(trace)]
+
+    def scalar_only(ig, index):
+        raise FloatingPointError("scalar loop forced")
+
+    monkeypatch.setattr(numint, "_vector_gauss", scalar_only)
+    with pytest.raises(OverflowError) as scalar:
+        integrate_1form(form, trace)
+    assert str(vector.value) == str(scalar.value)
+
+
+def test_trace_recheck_names_the_first_offender():
+    """The re-check reports the first off-curve sample, or raises where the
+    scalar loop raises when the array check falls back on an overflow."""
+    import numpy as np
+
+    u1, u2 = Polynomial.generators(UV)
+    curve = u2 + u1**3
+    on, off, huge = (0.0, 0.0), (1.0, 5.0), (1e200, 0.0)
+    for rows in ([on, off, (2.0, 3.0)], [on, off, huge]):
+        samples = np.array(rows)
+        with pytest.raises(NumericError) as info:
+            CurveTrace(curve, samples, False)
+        assert str(info.value) == f"trace sample {tuple(samples[1])} is off the curve"
+    with pytest.raises(OverflowError):
+        CurveTrace(curve, np.array([on, huge, off]), False)

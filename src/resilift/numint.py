@@ -8,23 +8,27 @@ style error estimate.  Open ends whose integrand visibly decays get a
 fitted power-law tail out to chart infinity, which is how an improper
 integral over an unbounded real branch is finished off.
 
-Floats enter through ``_float_evaluator``, which compiles polynomials and
+Floats enter through ``_float_evaluator``, which turns polynomials and
 rational functions once into a plain Python function of their variables:
 each coefficient becomes a float once, and the terms run in the order and
-with the operations of ``Polynomial.evaluate``.  The compiled functions are
-bit for bit ``float(p.evaluate(values))``, errors included, so tracing and
+with the operations of ``Polynomial.evaluate``.  Its functions are bit for
+bit ``float(p.evaluate(values))``, errors included, so tracing and
 quadrature give the values they gave through the exact ``evaluate``, at a
-fraction of its cost.  The tracer compiles the curve and both partials into
-one function returning all three.  The same generator spells each function
-for numpy arrays too, with ``np.float_power`` for powers; under
-``_strict_floats()`` that spelling gives the same bits or raises
-FloatingPointError.  The quadrature passes and the trace re-check run on
-arrays and, when an array call raises, redo the work in the scalar loop,
-which gives the same value or raises the same error at the same chord.
-The chord values are still added one at a time, left to right.  A trace
-compiles its curve once, an integral its coefficients and their
-denominators once, and the denominators are evaluated once per integral at
-all samples; nothing is cached across calls.
+fraction of its cost.  Scalar functions are compiled from generated source;
+the array forms, called only a few times per trace or integral, walk the
+same terms with the same numpy operations instead, and under
+``_strict_floats()`` give the same bits or raise FloatingPointError.
+
+The tracer evaluates the curve and both partials in one call, and runs each
+step of its march, Newton correction and tangent test included, in one
+Python frame.  The quadrature passes and the trace re-check run on arrays
+and, when an array call raises, redo the work in the scalar loop, which
+gives the same value or raises the same error at the same chord.  The chord
+values are added strictly left to right by ``np.add.accumulate``, which
+rounds as a Python loop does.  A trace compiles its curve once; an integral
+compiles its scalar coefficients and gradient once, and its scalar
+denominators only if the scalar loop runs.  The denominators are evaluated
+once per integral at all samples; nothing is cached across calls.
 
 numpy is imported by the functions that use it, on first numerical use, so
 importing this module (and the command line front end) does not load it.
@@ -35,6 +39,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -45,6 +50,7 @@ SAMPLE_TOL = 1e-9
 GRADIENT_TOL = 1e-8
 CLOSURE_FACTOR = 0.75
 ESCAPE_RADIUS = 1e6
+_NEWTON_ITERATIONS = 30
 # Gauss-Legendre nodes on [0, 1], two points
 _GAUSS_NODES = (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0))
 
@@ -65,8 +71,29 @@ class DivergenceError(NumericError):
     """The integrand has a non-integrable singularity on the trace."""
 
 
+def _float_terms(poly):
+    """The terms of poly in term order as (float coefficient, ((variable
+    index, exponent), ...)), zero exponents left out; the zero polynomial
+    is one zero term."""
+    terms = [
+        (float(coeff), tuple((i, e) for i, e in enumerate(mono.exponents) if e))
+        for mono, coeff in poly.terms.items()
+    ]
+    return terms or [(0.0, ())]
+
+
+def _float_program(p):
+    """(numerator terms, denominator terms or None, whether p is constant)."""
+    if not isinstance(p, RationalFunction):
+        return _float_terms(p), None, p.is_constant
+    if p.num.is_constant and p.den.is_constant:
+        # a constant over a constant divides exactly before rounding
+        return [(float(p.num.constant_value() / p.den.constant_value()), ())], None, True
+    return _float_terms(p.num), _float_terms(p.den), False
+
+
 def _float_evaluator(*polys, array: bool = False):
-    """Compile Polynomials or RationalFunctions to one float function of their variables.
+    """Build one float function of their variables from Polynomials or RationalFunctions.
 
     With one argument the function returns its value, with several the tuple
     of their values, computed left to right.  Each value equals
@@ -77,52 +104,22 @@ def _float_evaluator(*polys, array: bool = False):
     the same order.  A constant over a constant divides exactly before
     rounding, as ``RationalFunction.evaluate`` does.  A coefficient beyond
     the float range keeps the exact path, whose calls raise OverflowError.
+    The scalar function is compiled from generated source.
 
-    ``array=True`` spells the same function for numpy arrays of values and
-    returns arrays.  A power ``v**e`` becomes ``np.float_power(v, e)``, which
-    calls the C ``pow`` that ``float.__pow__`` calls; ``np.power`` and ``**``
-    on arrays take a SIMD path that differs in the last bit.  Under
+    ``array=True`` gives the same function for numpy arrays of values and
+    returns arrays.  It is not compiled: it walks the same terms with the
+    same Python operators, so the same numpy operations run in the same
+    order.  A power ``v**e`` becomes ``np.float_power(v, e)``, which calls
+    the C ``pow`` that ``float.__pow__`` calls; ``np.power`` and ``**`` on
+    arrays take a SIMD path that differs in the last bit.  Under
     ``_strict_floats()`` every element then equals the scalar value, or the
     call raises FloatingPointError: wherever a scalar call raises, and also
     where a scalar product only overflows to inf.  Callers redo such a call
     on the scalar function.  A coefficient beyond the float range always
     raises FloatingPointError here.
     """
-    coeffs = []
-    power = "float_power(v{}, {})" if array else "v{}**{}"
-
-    def terms(poly) -> str:
-        out = []
-        for mono, coeff in poly.terms.items():
-            factors = [f"c{len(coeffs)}"]
-            coeffs.append(float(coeff))
-            # x**1 is x for every float, so a first power is the variable itself
-            factors += [
-                f"v{i}" if e == 1 else power.format(i, e)
-                for i, e in enumerate(mono.exponents)
-                if e
-            ]
-            out.append(" * ".join(factors))
-        if not out:
-            out.append(f"c{len(coeffs)}")
-            coeffs.append(0.0)
-        return " + ".join(out)
-
-    def expression(p) -> str:
-        parts = (p.num, p.den) if isinstance(p, RationalFunction) else (p,)
-        constant = all(q.is_constant for q in parts)
-        if len(parts) == 1:
-            body = terms(p)
-        elif constant:
-            body = f"c{len(coeffs)}"
-            coeffs.append(float(p.num.constant_value() / p.den.constant_value()))
-        else:
-            body = f"({terms(p.num)}) / ({terms(p.den)})"
-        # an array spelling returns an array even where the value is constant
-        return f"full_like(v0, {body})" if array and constant else body
-
     try:
-        body = ", ".join(expression(p) for p in polys)
+        programs = [_float_program(p) for p in polys]
     except OverflowError:
         if array:
 
@@ -133,18 +130,64 @@ def _float_evaluator(*polys, array: bool = False):
         if len(polys) == 1:
             return lambda *values: float(polys[0].evaluate(values))
         return lambda *values: tuple(float(p.evaluate(values)) for p in polys)
+    if array:
+        return _array_evaluator(programs)
+    coeffs = []
+
+    def spell(terms) -> str:
+        out = []
+        for coeff, factors in terms:
+            # x**1 is x for every float, so a first power is the variable itself
+            powers = [f"v{i}" if e == 1 else f"v{i}**{e}" for i, e in factors]
+            out.append(" * ".join([f"c{len(coeffs)}", *powers]))
+            coeffs.append(coeff)
+        return " + ".join(out)
+
+    body = ", ".join(
+        spell(num) if den is None else f"({spell(num)}) / ({spell(den)})"
+        for num, den, _ in programs
+    )
     names = ", ".join(f"c{k}" for k in range(len(coeffs)))
     args = ", ".join(f"v{i}" for i in range(len(polys[0].variables)))
     namespace = {}
-    if array:
-        import numpy as np
-
-        namespace.update(float_power=np.float_power, full_like=np.full_like)
     exec(
         f"def bind({names}):\n def evaluate({args}):\n  return {body}\n return evaluate",
         namespace,
     )
     return namespace["bind"](*coeffs)
+
+
+def _array_evaluator(programs):
+    """The array form of ``_float_evaluator``, interpreting its programs.
+
+    Each term is ``coeff * v_i * float_power(v_j, e) ...`` and the terms are
+    added left to right, exactly as the scalar source spells them.
+    """
+    import numpy as np
+
+    float_power, full_like = np.float_power, np.full_like
+
+    def total(terms, values):
+        acc = None
+        for coeff, factors in terms:
+            term = coeff
+            for i, e in factors:
+                term = term * (values[i] if e == 1 else float_power(values[i], e))
+            acc = term if acc is None else acc + term
+        return acc
+
+    def value(program, values):
+        num, den, constant = program
+        out = total(num, values)
+        if den is not None:
+            out = out / total(den, values)
+        # an array form returns an array even where the value is constant
+        return full_like(values[0], out) if constant else out
+
+    if len(programs) == 1:
+        (program,) = programs
+        return lambda *values: value(program, values)
+    return lambda *values: tuple(value(program, values) for program in programs)
 
 
 def _strict_floats():
@@ -208,12 +251,7 @@ class CurveTrace:
         return CurveTrace(self.curve, self.samples[::-1].copy(), self.closed)
 
 
-def _gradient(gradient, x, y) -> Tuple[float, float]:
-    gx, gy = gradient(x, y)
-    return float(gx), float(gy)
-
-
-def _newton_project(evaluate, point, max_iter: int = 30):
+def _newton_project(evaluate, point, max_iter: int = _NEWTON_ITERATIONS):
     """Pull a nearby point onto {f = 0} along the gradient direction.
 
     evaluate is the compiled evaluator of the curve and its two partials.
@@ -270,46 +308,68 @@ def trace_real_curve(
     tangent0 = _unit_tangent(start_gradient, start)
     if tangent0 is None:
         raise SeedingError(f"gradient vanishes at the projected seed {start}")
+    gradient_tol2 = GRADIENT_TOL**2
+    reach = CLOSURE_FACTOR * h
 
     def march(direction: int):
-        points = []
+        """The points after the start, as one flat list of coordinates, and
+        whether the trace closed.
+
+        One frame runs every step: the Newton loop is ``_newton_project``
+        and the tangent test ``_unit_tangent``, with their float operations
+        in their order.
+        """
+        coords = []
         x, y = start
         tx, ty = tangent0[0] * direction, tangent0[1] * direction
-        closed = False
         for count in range(max_steps):
-            nxt = _newton_project(evaluate, (x + h * tx, y + h * ty))
-            if nxt is None:
+            px, py = x + h * tx, y + h * ty
+            for _ in range(_NEWTON_ITERATIONS):
+                value, gx, gy = evaluate(px, py)
+                if abs(value) < NEWTON_TOL:
+                    break
+                norm2 = gx * gx + gy * gy
+                if norm2 < gradient_tol2:
+                    break
+                px -= value * gx / norm2
+                py -= value * gy / norm2
+            else:
+                value, gx, gy = evaluate(px, py)
+            if not abs(value) < NEWTON_TOL:
                 raise SingularPointError(
                     f"Newton correction failed near ({x:.6g}, {y:.6g})"
                 )
-            (x, y), gradient = nxt
-            tangent = _unit_tangent(gradient, (x, y))
-            if tangent is None:
+            x, y = px, py
+            radius = math.hypot(x, y)
+            norm = math.hypot(gx, gy)
+            if norm < GRADIENT_TOL * (1.0 + radius):
                 raise SingularPointError(
                     f"gradient vanishes on the trace near ({x:.6g}, {y:.6g})"
                 )
-            dot = tangent[0] * tx + tangent[1] * ty
+            ux, uy = gy / norm, -gx / norm
+            dot = ux * tx + uy * ty
             if abs(dot) < 0.1:
                 raise SingularPointError(
                     f"tangent direction ambiguous near ({x:.6g}, {y:.6g})"
                 )
             sign = 1.0 if dot > 0 else -1.0
-            tx, ty = tangent[0] * sign, tangent[1] * sign
-            if count >= 4 and math.hypot(x - start[0], y - start[1]) < CLOSURE_FACTOR * h:
-                closed = True
+            tx, ty = ux * sign, uy * sign
+            if count >= 4 and math.hypot(x - start[0], y - start[1]) < reach:
+                return coords, True
+            coords += (x, y)
+            if radius > ESCAPE_RADIUS:
                 break
-            points.append((x, y))
-            if math.hypot(x, y) > ESCAPE_RADIUS:
-                break
-        return points, closed
+        return coords, False
+
+    def rows(coords):
+        return np.fromiter(coords, dtype=float, count=len(coords)).reshape(-1, 2)
 
     forward, closed = march(+1)
     if closed:
-        samples = [start] + forward + [start]
-        return CurveTrace(f, np.array(samples, dtype=float), True)
+        return CurveTrace(f, rows([*start, *forward, *start]), True)
     backward, _ = march(-1)
-    samples = list(reversed(backward)) + [start] + forward
-    return CurveTrace(f, np.array(samples, dtype=float), False)
+    samples = np.concatenate((rows(backward)[::-1], [start], rows(forward)))
+    return CurveTrace(f, samples, False)
 
 
 @dataclass(frozen=True)
@@ -335,46 +395,50 @@ def _form_coefficients(form, variables):
 
 
 class _Integrand:
-    """P du1 + Q du2 on one trace, with everything compiled once.
+    """P du1 + Q du2 on one trace, with everything built once.
 
     The scalar coefficients are called with plain floats, so a vanishing
     denominator raises instead of producing a numpy inf with a warning.
-    ``vector_pq`` and ``vector_dens`` are the array spellings the chord
-    passes use.  ``den_samples[k]`` is |dens[k]| at every sample, an array
-    the first vector pass fills and the core and coarse passes share.
+    ``vector_pq`` and ``vector_dens`` are the array forms the chord passes
+    use.  ``den_samples[k]`` is |dens[k]| at every sample, an array the
+    first vector pass fills and the core and coarse passes share.  The
+    scalar denominators are compiled only when a scalar loop runs.
     """
 
     def __init__(self, form, trace: CurveTrace):
         P, Q = _form_coefficients(form, trace.curve.variables)
-        dens = [c.den for c in (P, Q) if not c.den.is_constant]
+        self.den_polys = [c.den for c in (P, Q) if not c.den.is_constant]
         self.P, self.Q = _float_evaluator(P), _float_evaluator(Q)
-        self.dens = [_float_evaluator(den) for den in dens]
         self.gradient = _float_evaluator(
             trace.curve.partial_derivative(0), trace.curve.partial_derivative(1)
         )
         self.vector_pq = _float_evaluator(P, Q, array=True)
-        self.vector_dens = [_float_evaluator(den, array=True) for den in dens]
+        self.vector_dens = [_float_evaluator(den, array=True) for den in self.den_polys]
         self.den_samples = None
         self.rows = trace.samples
-        self.points = trace.samples.tolist()
 
-    def slope_form(self, c: int, x, y, gx: float, gy: float) -> float:
+    @cached_property
+    def dens(self):
+        return [_float_evaluator(den) for den in self.den_polys]
+
+    def slope_form(self, c: int, x: float, y: float, gx: float, gy: float) -> float:
         """P + Q du2/du1 (c = 0) or Q + P du1/du2 (c = 1) on the curve."""
-        x, y = float(x), float(y)
         if c == 0:
             return self.P(x, y) + self.Q(x, y) * (-gx / gy)
         return self.Q(x, y) + self.P(x, y) * (-gy / gx)
 
 
-def _regularized_chord(ig: _Integrand, a, b):
-    """On-curve endpoint value of the chord integral via the implicit slope.
+def _regularized_chord(ig: _Integrand, i: int, j: int) -> float:
+    """On-curve endpoint value of the chord integral from sample i to j via
+    the implicit slope.
 
     In the chord's dominant coordinate, P du1 + Q du2 reduces on the curve
     to (P + Q * du2/du1) du1 (or the symmetric form); the slope comes from
     implicit differentiation, and the product cancels a coefficient pole
-    that is transverse to the curve.  Returns None when both endpoints sit
-    exactly on a pole.
+    that is transverse to the curve.  Raises DivergenceError when both
+    endpoints sit exactly on a pole.
     """
+    a, b = ig.rows[[i, j]].tolist()
     dx, dy = b[0] - a[0], b[1] - a[1]
     c = 0 if abs(dx) >= abs(dy) else 1
     dc = dx if c == 0 else dy
@@ -382,7 +446,7 @@ def _regularized_chord(ig: _Integrand, a, b):
         return 0.0
     values = []
     for x, y in (a, b):
-        gx, gy = _gradient(ig.gradient, x, y)
+        gx, gy = ig.gradient(x, y)
         if (gy if c == 0 else gx) == 0:
             continue
         try:
@@ -392,7 +456,7 @@ def _regularized_chord(ig: _Integrand, a, b):
         except (ZeroDivisionError, OverflowError):
             continue
     if not values:
-        return None
+        raise DivergenceError(f"integrand is unbounded near ({a[0]:.6g}, {a[1]:.6g})")
     return sum(values) / len(values) * dc
 
 
@@ -415,7 +479,7 @@ def _scalar_gauss(ig: _Integrand, index):
     finite.  Being lazy, it evaluates a chord only once the caller has
     finished the one before, so errors surface at the chord they come from.
     """
-    P, Q, points = ig.P, ig.Q, ig.points
+    P, Q, points = ig.P, ig.Q, ig.rows.tolist()
     for i, j in zip(index, index[1:]):
         (ax, ay), (bx, by) = points[i], points[j]
         dx, dy = bx - ax, by - ay
@@ -432,8 +496,8 @@ def _scalar_gauss(ig: _Integrand, index):
         yield gauss if math.isfinite(gauss) else math.nan
 
 
-def _vector_gauss(ig: _Integrand, index) -> list:
-    """The values of ``_scalar_gauss`` for all chords at once, as a list.
+def _vector_gauss(ig: _Integrand, index):
+    """The values of ``_scalar_gauss`` for all chords at once, as an array.
 
     Call under ``_strict_floats()``.  Every chord's nodes and denominator
     magnitudes are arrays, built with the scalar operations in their order;
@@ -467,7 +531,7 @@ def _vector_gauss(ig: _Integrand, index) -> list:
         gauss = gauss + 0.5 * (p * dx + q * dy)
     values = np.full(len(start), math.nan)
     values[keep] = gauss
-    return values.tolist()
+    return values
 
 
 def _chord_sum(ig: _Integrand, index) -> float:
@@ -477,27 +541,35 @@ def _chord_sum(ig: _Integrand, index) -> float:
     A chord whose interior nodes stray near a coefficient pole that the
     curve itself passes through integrably is replaced by the on-curve
     regularized endpoint value; everywhere else plain Gauss keeps exact
-    forms telescoping around closed traces.  The Gauss values come from the
-    array pass; if it raises FloatingPointError, the scalar loop gives them
-    instead.  The values are added left to right, as the loop adds them.
+    forms telescoping around closed traces.  The values are added strictly
+    left to right, from 0.0, as a Python loop adds them.
+
+    The Gauss values come from the array pass, the regularized ones are
+    filled in chord order, and ``np.add.accumulate`` adds them all, one
+    after the other (``np.sum`` adds pairwise, with other roundings).  If
+    the array pass raises FloatingPointError, the scalar loop gives each
+    chord's value and adds it before it looks at the next chord, so an
+    error surfaces at the chord it comes from.
     """
-    chords = index.tolist()
+    import numpy as np
+
     try:
         with _strict_floats():
             values = _vector_gauss(ig, index)
     except FloatingPointError:
-        values = _scalar_gauss(ig, chords)
-    total = 0.0
-    for i, j, gauss in zip(chords, chords[1:], values):
-        if math.isnan(gauss):
-            gauss = _regularized_chord(ig, ig.rows[i], ig.rows[j])
-            if gauss is None:
-                ax, ay = ig.points[i]
-                raise DivergenceError(
-                    f"integrand is unbounded near ({ax:.6g}, {ay:.6g})"
-                )
-        total += gauss
-    return total
+        chords = index.tolist()
+        total = 0.0
+        for i, j, gauss in zip(chords, chords[1:], _scalar_gauss(ig, chords)):
+            if math.isnan(gauss):
+                gauss = _regularized_chord(ig, i, j)
+            total += gauss
+        return total
+    for k in np.flatnonzero(np.isnan(values)).tolist():
+        values[k] = _regularized_chord(ig, index[k], index[k + 1])
+    # a sum that overflows to inf, or meets inf + -inf, is not an error in
+    # the loop either
+    with np.errstate(all="ignore"):
+        return float(np.add.accumulate(np.concatenate(([0.0], values)))[-1])
 
 
 def _tail_contribution(ig: _Integrand, at_start: bool):
@@ -519,6 +591,7 @@ def _tail_contribution(ig: _Integrand, at_start: bool):
     else:
         e0, e1, e2 = pts[-1], pts[-1 - gap], pts[-1 - 2 * gap]
         chord = pts[-1] - pts[-2]
+    e0, e1, e2, chord = (row.tolist() for row in (e0, e1, e2, chord))
     c = 0 if abs(chord[0]) >= abs(chord[1]) else 1
     sigma = 1.0 if chord[c] > 0 else -1.0
     # motion must point outward at the far end, inward at the start
@@ -527,8 +600,8 @@ def _tail_contribution(ig: _Integrand, at_start: bool):
         return 0.0, 0.0, "end does not move away from the chart origin"
 
     def psi(point):
-        x, y = float(point[0]), float(point[1])
-        gx, gy = _gradient(ig.gradient, x, y)
+        x, y = point
+        gx, gy = ig.gradient(x, y)
         if abs(gy if c == 0 else gx) < GRADIENT_TOL:
             raise ZeroDivisionError
         return ig.slope_form(c, x, y, gx, gy)
@@ -562,7 +635,7 @@ def integrate_1form(form, trace: CurveTrace) -> IntegralResult:
     import numpy as np
 
     ig = _Integrand(form, trace)
-    n = len(ig.points)
+    n = len(trace)
     core = _chord_sum(ig, np.arange(n))
     coarse_index = np.arange(0, n, 2)
     if (n - 1) % 2:
@@ -598,5 +671,5 @@ def export_trace_csv(trace: CurveTrace, path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(list(trace.curve.variables))
-        for x, y in trace.samples:
-            writer.writerow([repr(float(x)), repr(float(y))])
+        for x, y in trace.samples.tolist():
+            writer.writerow([repr(x), repr(y)])

@@ -316,3 +316,20 @@ def test_batch_mode_empty_directory(tmp_path, capsys):
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out
+
+
+def test_integrate_compiles_at_most_five_evaluators(tmp_path, capsys, monkeypatch):
+    """A Fermat integrate compiles the seed scan, the tracer and the scalar
+    P, Q and gradient once each; array forms and the scalar denominators,
+    which only the scalar fallback calls, are not compiled."""
+    import builtins
+
+    compiles = []
+
+    def counting_exec(source, namespace):
+        compiles.append(source)
+        return builtins.exec(source, namespace)
+
+    monkeypatch.setattr(numint, "exec", counting_exec, raising=False)
+    cmd_integrate(load_job(write_job(tmp_path, FERMAT_JOB)), out=str(tmp_path / "out.json"))
+    assert 0 < len(compiles) <= 5

@@ -10,19 +10,21 @@ import pytest
 
 from resilift import numint
 from resilift.algebra import Polynomial, RationalFunction
-from resilift.cli import _find_seed
+from resilift.cli import DEFAULT_STEP, _find_seed
 from resilift.forms import differential
 from resilift.numint import (
     CurveTrace,
     DivergenceError,
     NumericError,
     SeedingError,
+    SingularPointError,
     _float_evaluator,
     _strict_floats,
     export_trace_csv,
     integrate_1form,
     trace_real_curve,
 )
+from resilift.parser import parse_polynomial
 from resilift.residue import analyze
 from resilift.weights import WeightSystem
 
@@ -310,7 +312,10 @@ def test_fused_evaluator_returns_each_value_in_order():
 
 
 def _bits(result):
-    return repr(dataclasses.astuple(result))
+    """The repr of every field; the numbers are plain floats on every path."""
+    fields = dataclasses.astuple(result)
+    assert [type(v) for v in fields[:5]] == [float] * 5, fields
+    return repr(fields)
 
 
 @pytest.mark.parametrize("hesse", [False, True], ids=["fermat", "hesse"])
@@ -399,3 +404,174 @@ def test_trace_recheck_names_the_first_offender():
         assert str(info.value) == f"trace sample {tuple(samples[1])} is off the curve"
     with pytest.raises(OverflowError):
         CurveTrace(curve, np.array([on, huge, off]), False)
+
+
+def _reference_trace(f, seed, step, max_steps):
+    """``trace_real_curve`` as a march of one call per helper and step.
+
+    Each step calls ``_newton_project`` and ``_unit_tangent``, and the samples
+    are built from a list of point tuples.  This is the oracle of the march
+    that runs every step in one frame.  The seed must project.
+    """
+    import numpy as np
+
+    h = float(F(step))
+    evaluate = _float_evaluator(f, f.partial_derivative(0), f.partial_derivative(1))
+    start, start_gradient = numint._newton_project(evaluate, seed)
+    tangent0 = numint._unit_tangent(start_gradient, start)
+
+    def march(direction):
+        points = []
+        x, y = start
+        tx, ty = tangent0[0] * direction, tangent0[1] * direction
+        for count in range(max_steps):
+            nxt = numint._newton_project(evaluate, (x + h * tx, y + h * ty))
+            if nxt is None:
+                raise SingularPointError(f"Newton correction failed near ({x:.6g}, {y:.6g})")
+            (x, y), gradient = nxt
+            tangent = numint._unit_tangent(gradient, (x, y))
+            if tangent is None:
+                raise SingularPointError(
+                    f"gradient vanishes on the trace near ({x:.6g}, {y:.6g})"
+                )
+            dot = tangent[0] * tx + tangent[1] * ty
+            if abs(dot) < 0.1:
+                raise SingularPointError(f"tangent direction ambiguous near ({x:.6g}, {y:.6g})")
+            sign = 1.0 if dot > 0 else -1.0
+            tx, ty = tangent[0] * sign, tangent[1] * sign
+            if count >= 4 and math.hypot(x - start[0], y - start[1]) < numint.CLOSURE_FACTOR * h:
+                return points, True
+            points.append((x, y))
+            if math.hypot(x, y) > numint.ESCAPE_RADIUS:
+                break
+        return points, False
+
+    forward, closed = march(+1)
+    if closed:
+        return CurveTrace(f, np.array([start] + forward + [start], dtype=float), True)
+    backward, _ = march(-1)
+    return CurveTrace(f, np.array(backward[::-1] + [start] + forward, dtype=float), False)
+
+
+def _trace_outcome(trace, *args):
+    """The sample bytes, shape and closed flag of a trace, or its error."""
+    try:
+        result = trace(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return result.samples.tobytes(), result.samples.shape, result.closed
+
+
+# (s, g, weights): the obstructed plane cubics of the integrate-chart
+# benchmark, then the inputs it probes because integrate fails on them
+CHART_JOBS = [
+    (s, "1", ("1/3", "1/3", "1/3"))
+    for s in (
+        "z0^3+z1^3+z2^3",
+        "z0^3+2*z1^3+3*z2^3",
+        "2*z0^3+z1^3+5*z2^3",
+        "5*z0^3+3*z1^3+z2^3",
+        "z0^3+z1^3+z2^3-z0*z1*z2",
+        "z0^3+z1^3+z2^3+2*z0*z1*z2",
+        "z0^3+z1^3+z2^3+1/2*z0^2*z1",
+        "z0^3+z1^3+z2^3+z0*z1*z2",
+        "z0^3+z1^3+z2^3+z0^2*z1",
+        "2*z0^3+5*z1^3+5*z2^3",
+        "3*z0^3+3*z1^3+3*z2^3",
+    )
+] + [
+    ("z0^5+z1^5+z2^5", "z0*z1", ("1/5", "1/5", "1/5")),
+    ("z0^7+z1^7+z2^7", "z0^2*z1^2", ("1/7", "1/7", "1/7")),
+    ("z0^3+z1^5+z2^15", "z1^2", ("1/3", "1/5", "1/15")),
+    ("z0^9+z1^9+z2^9", "z0^3*z1^3", ("1/9", "1/9", "1/9")),
+]
+
+
+@pytest.fixture(scope="module")
+def chart_curves():
+    z = ("z0", "z1", "z2")
+    curves = []
+    for s, g, weights in CHART_JOBS:
+        report = analyze(parse_polynomial(s, z), parse_polynomial(g, z), WeightSystem(weights))
+        curve = report.second_residue.relation
+        curves.append((curve, _find_seed(curve)))
+    return curves
+
+
+@pytest.mark.parametrize("steps", [50, 300, 1200, 2400])
+def test_fused_march_matches_reference_march(steps, chart_curves):
+    """On the benchmark's chart curves the one-frame march gives the same
+    sample bytes and closed flag, or the same error, as the reference."""
+    outcomes = []
+    for curve, seed in chart_curves:
+        args = (curve, seed, DEFAULT_STEP, steps)
+        outcome = _trace_outcome(trace_real_curve, *args)
+        assert outcome == _trace_outcome(_reference_trace, *args), (curve, steps)
+        outcomes.append(outcome[0])
+    # all are traced at 50 steps, some fail from 300 and all at 2400
+    if steps < 2400:
+        assert bytes in {type(o) for o in outcomes}
+    if steps >= 300:
+        assert SingularPointError in outcomes
+
+
+def test_fused_march_raises_each_singular_point_error():
+    """Each SingularPointError branch of the march, on a small curve, and a
+    closed, an open and an escaping trace, all as the reference gives them."""
+    u1, u2 = Polynomial.generators(UV)
+    cases = [
+        # the cusp of u2^2 = u1^3: Newton cannot reach the curve
+        (u2**2 - u1**3, (1.0, 1.0), F(1, 10), 40, "Newton correction failed near"),
+        # on the double parabola Newton converges linearly: a step accepted
+        # only at the 31st evaluation, after the loop, comes before the failure
+        (F(10**8) * (u2 - u1**2) ** 2, (0.0, 1e-13), F(1, 50), 40, "Newton correction failed near"),
+        # a step lands on the node of u1*u2 = 0, where the gradient is 0
+        (u1 * u2, (-0.5, 0.0), F(1, 10), 20, "gradient vanishes on the trace near"),
+        # on a circle of radius 1/10, a step of 6/5 turns the tangent by 85 degrees
+        (u1**2 + u2**2 - F(1, 100), (0.1, 0.0), F(6, 5), 10, "tangent direction ambiguous near"),
+        (u1**2 + u2**2 - 1, (1.0, 0.0), F(1, 20), 400, None),
+        (u2 - u1**3, (0.5, 0.0), F(1, 20), 60, None),
+        (u2, (0.0, 0.0), F(10**5), 40, None),
+    ]
+    for curve, seed, step, max_steps, message in cases:
+        args = (curve, seed, step, max_steps)
+        outcome = _trace_outcome(trace_real_curve, *args)
+        assert outcome == _trace_outcome(_reference_trace, *args), curve
+        if message is None:
+            assert type(outcome[0]) is bytes
+        else:
+            assert outcome[0] is SingularPointError and outcome[1].startswith(message)
+    closed = [_trace_outcome(trace_real_curve, *case[:4])[2] for case in cases[4:]]
+    assert closed == [True, False, False]
+
+
+@pytest.mark.filterwarnings("error")
+def test_chord_sum_adds_left_to_right(monkeypatch):
+    """The array pass totals its chord values strictly left to right from
+    0.0, bit for bit as a Python loop adds them, also where the sum
+    overflows to inf or meets inf + -inf, and no numpy warning escapes."""
+    import numpy as np
+
+    rng = random.Random(1213)
+    cases = [
+        [-0.0],
+        [-0.0, -0.0, 2.5],
+        [1e308, 1e308, -1e308],
+        [1e308, 1e308, -math.inf, 1.0],
+        [math.inf, -math.inf],
+    ]
+    for n in (2400, 100_000):
+        cases.append([rng.uniform(-1, 1) * 10.0 ** rng.randint(-12, 12) for _ in range(n)])
+    pairwise_differs = False
+    for values in cases:
+        monkeypatch.setattr(numint, "_vector_gauss", lambda ig, index: np.array(values))
+        total = 0.0
+        for v in values:
+            total += v
+        got = numint._chord_sum(None, np.arange(len(values) + 1))
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", total), values[:4]
+        if len(values) > 100:
+            pairwise_differs |= float(np.sum(values)) != total
+    # np.sum adds pairwise: the long cases tell the two orders apart
+    assert pairwise_differs

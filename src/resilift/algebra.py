@@ -19,7 +19,8 @@ decided by cross multiplication, never by comparing representations.
 The public constructors `Monomial(...)` and `Polynomial(...)` check what
 they are given.  Results built inside this module (ring operations,
 derivatives, substitutions, division, the monomial shift of a rational
-function) are already clean, so they are wrapped without a second check:
+function) are already clean, so they are wrapped without a second check,
+and so are single terms built elsewhere in the package (`_single_term`):
 products and sums accumulate on plain exponent tuples and become `Monomial`
 keys only at the end, and a `Monomial` computes its degree and hash once,
 when it is built.  Division by one polynomial takes terms from a graded-lex
@@ -32,6 +33,16 @@ the same reason the affine hull of p's exponents contains a translate of d's,
 so a difference of two exponent vectors of d outside the span of p's
 differences rejects as well.  A single term c*u^a needs no division: it
 divides p exactly when a is at most the monomial content of p.
+
+A rational function runs its two division probes only when, after the
+common monomial content is shifted out, the numerator is constant or both
+sides have at least two terms.  Otherwise both probes return (False, None):
+after the shift min(ncont_i, dcont_i) = 0 for every variable, a multi-term
+polynomial never divides a single term (its exponent ranges are not all 0),
+and a non-constant single term u^a never divides the other side, whose
+content is 0 in each u_i with a_i > 0.  The probe of a constant numerator
+always succeeds and is kept: it rewrites the denominator in graded-lex
+descending order, which the float evaluators of numint follow.
 
 Scalar prefactors that are not rational (2*pi*i and friends) never enter
 this layer; higher layers carry them as symbolic tags.
@@ -167,7 +178,11 @@ class Polynomial:
         if len(set(variables)) != len(variables):
             raise AlgebraError(f"duplicate variable names: {variables}")
         clean: Dict[Monomial, Scalar] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = (
+            terms.items()
+            if terms.__class__ is dict or isinstance(terms, Mapping)
+            else terms
+        )
         for key, value in items:
             mono = key if isinstance(key, Monomial) else Monomial(tuple(key))
             if len(mono.exponents) != len(variables):
@@ -492,6 +507,20 @@ _set_variables = Polynomial.variables.__set__
 _set_terms = Polynomial.terms.__set__
 
 
+def _single_term(
+    variables: Tuple[str, ...], exponents: Sequence[int], coeff: Scalar = 1
+) -> Polynomial:
+    """coeff * u^exponents over checked variables, for exponents known to be
+    nonnegative ints of the right length.
+
+    The trusted counterpart of Polynomial.single_term: like the constructor,
+    it stores an integral Fraction as its int and a zero coefficient as no term.
+    """
+    if coeff.__class__ is Fraction and coeff.denominator == 1:
+        coeff = coeff.numerator
+    return _polynomial(variables, {_monomial(tuple(exponents)): coeff} if coeff else {})
+
+
 def _accumulate(out: dict, key, value: Scalar) -> None:
     """out[key] += value, dropping the key when the sum is zero."""
     old = out.get(key)
@@ -689,28 +718,33 @@ class RationalFunction:
 
     @staticmethod
     def _normalize(num: Polynomial, den: Polynomial):
+        variables = num.variables
         if num.is_zero:
-            return num, Polynomial.one(num.variables)
+            return num, _single_term(variables, (0,) * len(variables))
         ncont = num.monomial_content().exponents
         dcont = den.monomial_content().exponents
         common = tuple(map(min, ncont, dcont))
         if any(common):
             num = _shift_down(num, common)
             den = _shift_down(den, common)
-        if not den.is_constant:
+        # the probe rule of the module docstring: with the content shifted
+        # out, no other probe can succeed
+        if not den.is_constant and (
+            num.is_constant or (len(num.terms) > 1 and len(den.terms) > 1)
+        ):
             ok, q = divides(den, num)
             if ok:
-                num, den = q, Polynomial.one(num.variables)
+                num, den = q, _single_term(variables, (0,) * len(variables))
             else:
                 ok, q = divides(num, den)
                 if ok and not q.is_constant:
                     # num/den = 1/q, up to the constant normalization below
-                    num, den = Polynomial.one(num.variables), q
+                    num, den = _single_term(variables, (0,) * len(variables)), q
         if den.is_constant:
             value = den.constant_value()
             if value != 1:
                 num = _divided(num, value)
-                den = Polynomial.one(num.variables)
+                den = _single_term(variables, (0,) * len(variables))
         else:
             lead = den.leading_term()[1]
             if lead != 1:
@@ -720,7 +754,7 @@ class RationalFunction:
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
-        return cls(p, Polynomial.one(p.variables))
+        return cls(p, _single_term(p.variables, (0,) * len(p.variables)))
 
     @property
     def variables(self) -> Tuple[str, ...]:

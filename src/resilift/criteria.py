@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .algebra import Polynomial
+from .algebra import Polynomial, _single_term
 from .weights import (
     WeightSystem,
     is_quasihomogeneous,
@@ -154,7 +154,7 @@ def _cover_images(variables: Sequence[str], w: WeightSystem) -> List[Polynomial]
     """The cover as single-term images, z_i -> z_i^(cover_order * a_i)."""
     n = len(variables)
     return [
-        Polynomial.single_term(variables, [e if j == i else 0 for j in range(n)])
+        _single_term(variables, [e if j == i else 0 for j in range(n)])
         for i, e in enumerate(w.cover_exponents)
     ]
 

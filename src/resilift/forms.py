@@ -39,6 +39,7 @@ from .algebra import (
     ZeroDenominatorError,
     _divide,
     _divided,
+    _single_term,
     divide_with_remainder,
     divides,
     poly_with_variables,
@@ -587,7 +588,7 @@ def _recombines(
         e = split.exponent
         exponents = [0] * len(variables)
         exponents[var_index] = abs(e)
-        power = Polynomial.single_term(variables, exponents)
+        power = _single_term(variables, exponents)
         for key, coeff in split.du0_factor.components.items():
             sign, merged = _merge_signed((var_index,), key)
             if sign == 0:

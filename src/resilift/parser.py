@@ -24,19 +24,35 @@ once, so no syntax tree is built.  Nesting depth is limited (MAX_DEPTH),
 but sums and products are read in a loop and may be of any length.  An
 error is raised at the point where it is read, so in form mode a semantic
 error such as a power of a 1-form is reported ahead of a later syntax error.
+
+A scalar value is a plain {exponent tuple: nonzero coefficient} dict: a
+variable or a nonzero literal is a one-entry dict, a sum accumulates into
+the dict of its first term, a product multiplies on tuples, and a power of a
+multi-term base squares in the order `Polynomial.__pow__` uses.  Each step
+repeats the arithmetic of the `Polynomial` operation it stands for, so the
+terms, their order and their int or Fraction coefficients are the ones that
+operation gives; the result is wrapped once, by the trusted
+`algebra._polynomial`.  A dict becomes a `Polynomial` only where it meets a
+differential form (or the coefficient of a form), and from there on the
+form operations apply.  Before a power of a t-term base is expanded, its
+term count is bounded by comb(n + t - 1, t - 1), the number of monomials of
+degree n in t symbols; a power that may exceed MAX_TERMS terms is refused at
+its exponent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import add
 from typing import Sequence, Tuple
 
-from .algebra import Polynomial, RationalFunction
+from .algebra import Polynomial, RationalFunction, _accumulate, _monomial, _polynomial
 from .forms import DifferentialForm, differential, function_form, wedge
 
 MAX_DEPTH = 200
 MAX_EXPONENT = 4096
+MAX_TERMS = 100_000
 
 
 class ParseError(Exception):
@@ -57,12 +73,14 @@ class ParseError(Exception):
 _SYMBOLS = {"+", "-", "*", "^", "(", ")"}
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # 'number', 'ident', 'wedge', one of _SYMBOLS, '/', 'end'
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # 'number', 'ident', 'wedge', one of _SYMBOLS, '/', 'end'
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str):
@@ -129,6 +147,9 @@ class _Parser:
         self.variables = tuple(variables)
         self.form_mode = form_mode
         self.depth = 0
+        self.origin = (0,) * len(self.variables)
+        # with a repeated name the first scalar read raises the constructor's error
+        self.unique = len(set(self.variables)) == len(self.variables)
 
     @property
     def current(self) -> _Token:
@@ -154,6 +175,19 @@ class _Parser:
             return "end of input"
         return f"{token.kind} {token.text!r}" if token.kind in ("number", "ident") else f"{token.text!r}"
 
+    def lift(self, value):
+        """A scalar dict as its Polynomial; any other value as it is."""
+        if value.__class__ is dict:
+            return _polynomial(
+                self.variables, {_monomial(e): c for e, c in value.items()}
+            )
+        return value
+
+    def form(self, value) -> DifferentialForm:
+        if isinstance(value, DifferentialForm):
+            return value
+        return function_form(self.lift(value), self.variables)
+
     def parse(self):
         value = self.fexpr() if self.form_mode else self.expr()
         if self.current.kind != "end":
@@ -168,9 +202,7 @@ class _Parser:
         while self.current.kind == "wedge":
             self.advance()
             right = self.expr()
-            value = wedge(
-                _as_form(value, self.variables), _as_form(right, self.variables)
-            )
+            value = wedge(self.form(value), self.form(right))
         return value
 
     def expr(self):
@@ -182,12 +214,15 @@ class _Parser:
             while self.current.kind in ("+", "-"):
                 negate = self.advance().kind == "-"
                 right = self.term()
+                if value.__class__ is dict and right.__class__ is dict:
+                    _add_into(value, right, negate)
+                    continue
                 if negate:
-                    right = -right
+                    right = _negated(right)
                 if isinstance(value, DifferentialForm) or isinstance(right, DifferentialForm):
-                    value = _as_form(value, self.variables) + _as_form(right, self.variables)
+                    value = self.form(value) + self.form(right)
                 else:
-                    value = value + right
+                    value = self.lift(value) + self.lift(right)
             return value
         finally:
             self.depth -= 1
@@ -197,7 +232,10 @@ class _Parser:
         while self.current.kind == "*":
             op = self.advance()
             right = self.factor(coefficient_position=False)
-            value = _product(value, right, op)
+            if value.__class__ is dict and right.__class__ is dict:
+                value = _multiply(value, right)
+            else:
+                value = _product(self.lift(value), self.lift(right), op)
         return value
 
     def factor(self, coefficient_position: bool):
@@ -215,7 +253,18 @@ class _Parser:
                 raise ParseError(
                     "exponentiation applies to scalars only", number.line, number.col
                 )
-            value = scalar**exponent
+            terms = _term_count(scalar)
+            if terms > 1 and comb(exponent + terms - 1, terms - 1) > MAX_TERMS:
+                raise ParseError(
+                    f"power {exponent} of a {terms}-term expression may exceed "
+                    f"{MAX_TERMS} terms",
+                    number.line,
+                    number.col,
+                )
+            if scalar.__class__ is dict:
+                value = _power(scalar, exponent, self.origin)
+            else:
+                value = scalar**exponent
         return value
 
     def atom(self, coefficient_position: bool):
@@ -239,7 +288,11 @@ class _Parser:
                         den_token.col,
                     )
                 value = Fraction(int(token.text), den)
-            return Polynomial.constant(self.variables, value)
+                if value.denominator == 1:
+                    value = value.numerator
+            if not self.unique:
+                return Polynomial.constant(self.variables, value)  # raises
+            return {self.origin: value} if value else {}
         if token.kind == "ident":
             self.advance()
             return self.resolve_ident(token)
@@ -260,7 +313,7 @@ class _Parser:
                 self.fail("expression nested too deeply")
             try:
                 self.advance()
-                return -self.atom(coefficient_position)
+                return _negated(self.atom(coefficient_position))
             finally:
                 self.depth -= 1
         self.fail(f"unexpected {self.describe(token)}", _ATOM_EXPECTED)
@@ -268,7 +321,10 @@ class _Parser:
     def resolve_ident(self, token: _Token):
         name = token.text
         if name in self.variables:
-            return Polynomial.variable(self.variables, name)
+            if not self.unique:
+                return Polynomial.variable(self.variables, name)  # raises
+            i = self.variables.index(name)
+            return {self.origin[:i] + (1,) + self.origin[i + 1 :]: 1}
         if name == "d" and self.current.kind == "ident":
             target = self.advance()
             return self.make_differential(target.text, target)
@@ -299,18 +355,61 @@ class _Parser:
 
 
 # -- evaluation helpers ---------------------------------------------------
+#
+# The dict helpers repeat Polynomial's own arithmetic on exponent tuples, with
+# its _accumulate: _add_into is __add__/__sub__, _multiply is __mul__ and
+# _power is __pow__, so terms come out in the same order.
 
 
-def _as_form(value, variables) -> DifferentialForm:
-    if isinstance(value, DifferentialForm):
-        return value
-    return function_form(value, variables)
+def _add_into(acc: dict, right: dict, negate: bool) -> None:
+    """acc += right, or acc -= right, in place."""
+    for exps, coeff in right.items():
+        _accumulate(acc, exps, -coeff if negate else coeff)
+
+
+def _multiply(left: dict, right: dict) -> dict:
+    out = {}
+    pairs = list(right.items())
+    for e1, c1 in left.items():
+        for e2, c2 in pairs:
+            _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+    return out
+
+
+def _power(base: dict, exponent: int, origin: Tuple[int, ...]) -> dict:
+    """base ** exponent, by Polynomial.__pow__'s squaring."""
+    if len(base) == 1:
+        ((exps, coeff),) = base.items()
+        return {tuple(e * exponent for e in exps): coeff**exponent}
+    result = {origin: 1}
+    while exponent:
+        if exponent & 1:
+            result = _multiply(result, base)
+        exponent >>= 1
+        if exponent:
+            base = _multiply(base, base)
+    return result
+
+
+def _negated(value):
+    if value.__class__ is dict:
+        return {exps: -coeff for exps, coeff in value.items()}
+    return -value
+
+
+def _term_count(scalar) -> int:
+    """The largest term count among the polynomials a power of scalar raises."""
+    if scalar.__class__ is dict:
+        return len(scalar)
+    if isinstance(scalar, Polynomial):
+        return len(scalar.terms)
+    return max(len(scalar.num.terms), len(scalar.den.terms))
 
 
 def _as_scalar(value):
-    """A polynomial or rational function, or the coefficient of a pure 0-form;
-    None otherwise."""
-    if isinstance(value, (Polynomial, RationalFunction)):
+    """A scalar dict, polynomial or rational function, or the coefficient of
+    a pure 0-form; None otherwise."""
+    if value.__class__ is dict or isinstance(value, (Polynomial, RationalFunction)):
         return value
     if isinstance(value, DifferentialForm):
         if value.is_zero:
@@ -321,7 +420,8 @@ def _as_scalar(value):
 
 
 def _product(left, right, op: _Token):
-    """left * right; a form of positive degree takes only a scalar factor."""
+    """left * right for values that are not both dicts; a form of positive
+    degree takes only a scalar factor."""
     if isinstance(left, Polynomial) and isinstance(right, Polynomial):
         return left * right
     for a, b in ((left, right), (right, left)):
@@ -339,10 +439,11 @@ def _product(left, right, op: _Token):
 
 def parse_polynomial(text: str, variables: Sequence[str]) -> Polynomial:
     """Exact polynomial from text; whitespace-insensitive, grammar above."""
-    return _Parser(text, variables, form_mode=False).parse()
+    parser = _Parser(text, variables, form_mode=False)
+    return parser.lift(parser.parse())
 
 
 def parse_form(text: str, variables: Sequence[str]) -> DifferentialForm:
     """DifferentialForm in normal form (sorted basis, signs resolved)."""
-    variables = tuple(variables)
-    return _as_form(_Parser(text, variables, form_mode=True).parse(), variables)
+    parser = _Parser(text, variables, form_mode=True)
+    return parser.form(parser.parse())

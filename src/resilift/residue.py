@@ -34,6 +34,7 @@ from typing import Optional, Sequence, Tuple
 from .algebra import (
     Polynomial,
     RationalFunction,
+    _single_term,
     divides,
     poly_with_variables,
 )
@@ -295,7 +296,7 @@ def _blowup(
     n = len(variables)
     chart_vars = _chart_names(n)
     images = [
-        Polynomial.single_term(chart_vars, [1] + [int(j == i) for j in range(1, n)])
+        _single_term(chart_vars, [1] + [int(j == i) for j in range(1, n)])
         for i in range(n)
     ]
     blown = pullback(omega_hat, images)
@@ -363,7 +364,7 @@ def _second_residue(
     chart_vars = _chart_names(n - 1, start=1)
     # the cover followed by z_0 = 1: z_0 -> 1, z_i -> u_i^(l*a_i)
     chart_map = [
-        Polynomial.single_term(chart_vars, [e if j == i else 0 for j in range(1, n)])
+        _single_term(chart_vars, [e if j == i else 0 for j in range(1, n)])
         for i, e in enumerate(w.cover_exponents)
     ]
     s_chart = s.substitute(chart_map)
@@ -381,7 +382,7 @@ def _second_residue(
             "chart equation divides the obstruction numerator; the numerator "
             "weight is not below the equation weight"
         )
-    factor = Polynomial.single_term(
+    factor = _single_term(
         chart_vars, [e - 1 for e in w.cover_exponents[1:]], w.jacobian_constant
     )
     rhs = volume_form(chart_vars, g_chart * factor)
@@ -463,7 +464,7 @@ class ResidueReport:
             certificate = second.certificate
             if certificate is None:
                 raise ResidueError("second residue lacks its certificate")
-            factor = Polynomial.single_term(
+            factor = _single_term(
                 chart_vars,
                 [e - 1 for e in self.weight_system.cover_exponents[1:]],
                 self.jacobian_constant,

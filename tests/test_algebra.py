@@ -7,6 +7,7 @@ from operator import mul
 
 import pytest
 
+from resilift import algebra
 from resilift.algebra import (
     AlgebraError,
     ArityError,
@@ -14,8 +15,10 @@ from resilift.algebra import (
     Polynomial,
     RationalFunction,
     ZeroDenominatorError,
+    _divided,
     _exponent_ranges,
     _outside_hull,
+    _shift_down,
     divide_with_remainder,
     divides,
     poly_with_variables,
@@ -457,3 +460,130 @@ def test_rational_function_field_laws_random():
         assert (a + b) - b == a
         if not b.is_zero:
             assert (a / b) * b == a
+
+
+# -- the probe rule of RationalFunction._normalize ------------------------
+
+
+def _reference_normalize(num, den):
+    """RationalFunction._normalize as it was before the probe rule: both
+    division probes run whenever den is not constant."""
+    if num.is_zero:
+        return num, Polynomial.one(num.variables)
+    ncont = num.monomial_content().exponents
+    dcont = den.monomial_content().exponents
+    common = tuple(map(min, ncont, dcont))
+    if any(common):
+        num = _shift_down(num, common)
+        den = _shift_down(den, common)
+    if not den.is_constant:
+        ok, q = algebra.divides(den, num)
+        if ok:
+            num, den = q, Polynomial.one(num.variables)
+        else:
+            ok, q = algebra.divides(num, den)
+            if ok and not q.is_constant:
+                num, den = Polynomial.one(num.variables), q
+    if den.is_constant:
+        value = den.constant_value()
+        if value != 1:
+            num = _divided(num, value)
+            den = Polynomial.one(num.variables)
+    else:
+        lead = den.leading_term()[1]
+        if lead != 1:
+            num = _divided(num, lead)
+            den = _divided(den, lead)
+    return num, den
+
+
+def _random_coefficient(rng):
+    if rng.random() < 0.5:
+        return rng.choice((-1, 1)) * rng.randint(1, 6)
+    return F(rng.randint(-9, 9) or 1, rng.randint(2, 7))
+
+
+def _random_side(rng, variables, kind):
+    """A constant, a non-constant single term, or 2-4 terms in random order."""
+    if kind == "constant":
+        return Polynomial.constant(variables, _random_coefficient(rng))
+    if kind == "single":
+        exponents = [rng.randint(0, 3) for _ in variables]
+        exponents[rng.randrange(len(variables))] += 1
+        return Polynomial.single_term(variables, exponents, _random_coefficient(rng))
+    p = Polynomial.zero(variables)
+    while len(p.terms) < 2:
+        for _ in range(rng.randint(2, 4)):
+            exponents = [rng.randint(0, 3) for _ in variables]
+            p = p + Polynomial.single_term(variables, exponents, _random_coefficient(rng))
+    return p
+
+
+def _items(p):
+    return [(m.exponents, c, type(c)) for m, c in p.terms.items()]
+
+
+def test_normalize_probe_rule_matches_two_probes():
+    rng = random.Random(17)
+    kinds = ("constant", "single", "multi")
+    seen = set()
+    for _ in range(2500):
+        variables = ("u0", "u1", "u2", "u3")[: rng.randint(2, 4)]
+        num_kind, den_kind = rng.choice(kinds), rng.choice(kinds)
+        num = _random_side(rng, variables, num_kind)
+        den = _random_side(rng, variables, den_kind)
+        r = rng.random()
+        if r < 0.15:
+            num = num * _random_side(rng, variables, rng.choice(kinds))
+            den_kind += "|num"  # den divides num
+        elif r < 0.3:
+            den = den * _random_side(rng, variables, rng.choice(kinds))
+            num_kind += "|den"  # num divides den
+        elif r < 0.35:
+            num = Polynomial.zero(variables)
+        if rng.random() < 0.5:
+            # shared monomial content, shifted out before the probes
+            shift = Polynomial.single_term(variables, [rng.randint(0, 2) for _ in variables])
+            num, den = num * shift, den * shift
+        got = RationalFunction._normalize(num, den)
+        expected = _reference_normalize(num, den)
+        assert _items(got[0]) == _items(expected[0]), (num, den)
+        assert _items(got[1]) == _items(expected[1]), (num, den)
+        seen.add((num_kind, den_kind))
+    assert len(seen) >= 12
+
+
+def test_normalize_probe_rule_runs_fewer_divisions(monkeypatch):
+    from resilift import cli
+    from resilift.parser import parse_polynomial
+    from resilift.residue import analyze
+    from resilift.weights import WeightSystem
+
+    variables = ("z0", "z1", "z2")
+    s = parse_polynomial("z0^3+z1^3+z2^3", variables)
+    w = WeightSystem(("1/3", "1/3", "1/3"))
+    real = algebra.divides
+    calls = []
+
+    def counting(d, p):
+        calls.append(1)
+        return real(d, p)
+
+    monkeypatch.setattr(algebra, "divides", counting)
+
+    def run(g):
+        calls.clear()
+        report = analyze(s, parse_polynomial(g, variables), w)
+        assert report.verify()
+        return len(calls), cli._dump(cli.report_to_dict(report))
+
+    # with g = 1 every normalization has a constant numerator once the
+    # monomial content is shifted out, so every probe still runs
+    numerators = ("1", "z0", "z0*z1", "(1+z0+z1+z2)^2")
+    new = [run(g) for g in numerators]
+    monkeypatch.setattr(RationalFunction, "_normalize", staticmethod(_reference_normalize))
+    old = [run(g) for g in numerators]
+    assert [b for _, b in new] == [b for _, b in old]
+    counts = [(n, o) for (n, _), (o, _) in zip(new, old)]
+    assert counts[0][0] == counts[0][1]  # 12 at this writing
+    assert all(n < o for n, o in counts[1:])  # 6 < 10, 0 < 10, 14 < 16

@@ -3,10 +3,13 @@ and totality under fuzzing."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from resilift.algebra import Polynomial
+from perfbench_catalog import load_catalog
+from resilift import parser
+from resilift.algebra import Polynomial, RationalFunction
 from resilift.forms import DifferentialForm, basis_form, differential, volume_form, wedge
 from resilift.parser import ParseError, parse_form, parse_polynomial
 
@@ -226,3 +229,237 @@ def test_fuzz_totality():
             parse_polynomial(text, XYZ)
         except ParseError:
             pass
+
+
+# -- the dict evaluation against the Polynomial evaluation it replaced ------
+
+
+class _ReferenceParser(parser._Parser):
+    """Polynomial mode, evaluated on Polynomial objects with their operators,
+    and with the documented bound on the term count of a power."""
+
+    def expr(self):
+        self.depth += 1
+        if self.depth > parser.MAX_DEPTH:
+            self.fail("expression nested too deeply")
+        try:
+            value = self.term()
+            while self.current.kind in ("+", "-"):
+                negate = self.advance().kind == "-"
+                right = self.term()
+                value = value + (-right if negate else right)
+            return value
+        finally:
+            self.depth -= 1
+
+    def term(self):
+        value = self.factor(coefficient_position=True)
+        while self.current.kind == "*":
+            self.advance()
+            value = value * self.factor(coefficient_position=False)
+        return value
+
+    def factor(self, coefficient_position):
+        value = self.atom(coefficient_position)
+        if self.current.kind == "^":
+            self.advance()
+            number = self.expect("number", "nonnegative integer exponent")
+            exponent = int(number.text)
+            if exponent > parser.MAX_EXPONENT:
+                raise ParseError(f"exponent {exponent} too large", number.line, number.col)
+            terms = len(value.terms)
+            if terms > 1 and comb(exponent + terms - 1, terms - 1) > parser.MAX_TERMS:
+                raise ParseError(
+                    f"power {exponent} of a {terms}-term expression may exceed "
+                    f"{parser.MAX_TERMS} terms",
+                    number.line,
+                    number.col,
+                )
+            value = value**exponent
+        return value
+
+    def atom(self, coefficient_position):
+        token = self.current
+        if token.kind == "number":
+            self.advance()
+            value = int(token.text)
+            if self.current.kind == "/":
+                if not coefficient_position:
+                    self.fail(
+                        "rational literal needs parentheses in this position", ("'*'",)
+                    )
+                self.advance()
+                den_token = self.expect("number", "denominator integer")
+                den = int(den_token.text)
+                if den == 0:
+                    raise ParseError(
+                        "zero denominator in rational literal", den_token.line, den_token.col
+                    )
+                value = Fraction(int(token.text), den)
+            return Polynomial.constant(self.variables, value)
+        if token.kind == "ident":
+            self.advance()
+            if token.text in self.variables:
+                return Polynomial.variable(self.variables, token.text)
+            return self.resolve_ident(token)  # a differential or an unknown name
+        if token.kind == "(":
+            self.depth += 1
+            if self.depth > parser.MAX_DEPTH:
+                self.fail("expression nested too deeply")
+            try:
+                self.advance()
+                value = self.expr()
+                self.expect(")", "')'")
+                return value
+            finally:
+                self.depth -= 1
+        if token.kind == "-":
+            self.depth += 1
+            if self.depth > parser.MAX_DEPTH:
+                self.fail("expression nested too deeply")
+            try:
+                self.advance()
+                return -self.atom(coefficient_position)
+            finally:
+                self.depth -= 1
+        self.fail(f"unexpected {self.describe(token)}", parser._ATOM_EXPECTED)
+
+
+def _reference_parse(text, variables):
+    return _ReferenceParser(text, variables, form_mode=False).parse()
+
+
+def _outcome(parse, text, variables):
+    """The terms in order with their coefficient types, or the error raised."""
+    try:
+        poly = parse(text, variables)
+    except Exception as exc:  # ParseError, and AlgebraError for repeated names
+        return type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "col", None)
+    return [(m.exponents, c, type(c)) for m, c in poly.terms.items()]
+
+
+def _random_expr(rng, depth=0):
+    pieces = []
+    for i in range(rng.randint(1, 4)):
+        sign = rng.choice(("+", "-")) if i else rng.choice(("", "", "", "-"))
+        factors = [_random_factor(rng, depth, True)]
+        factors += [_random_factor(rng, depth, False) for _ in range(rng.choice((0, 0, 1, 2)))]
+        pieces.append(sign + rng.choice(("*", " * ", "*\n")).join(factors))
+    return rng.choice(("", " ")).join(pieces)
+
+
+def _random_factor(rng, depth, coefficient_position):
+    r = rng.random()
+    if r < 0.35:
+        atom = rng.choice(XYZ)
+    elif r < 0.6:
+        num, den = rng.randint(0, 12), rng.choice((1, 2, 3, 4, 6))
+        if rng.random() < 0.5:
+            atom = str(num)
+        elif coefficient_position and rng.random() < 0.5:
+            atom = f"{num}/{den}"
+        else:
+            atom = f"({num}/{den})"
+    elif r < 0.8 and depth < 2:
+        # powers of sums, nested at most twice
+        body = "(" + _random_expr(rng, depth + 1) + ")"
+        return body + (f"^{rng.randint(0, 3 - depth)}" if rng.random() < 0.6 else "")
+    else:
+        atom = "-" * rng.randint(1, 2) + rng.choice(XYZ + ("2", "(1/3)"))
+    if rng.random() < 0.3:
+        atom += f"^{rng.randint(0, 5)}"
+    return atom
+
+
+def _mutated(rng, text):
+    """A nearby text, often malformed: a character dropped, added or cut off."""
+    pos = rng.randrange(len(text) + 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:pos] + text[pos + 1 :]
+    if kind == 1:
+        return text[:pos] + rng.choice("xyzw019+-*/^() \n@") + text[pos:]
+    return text[:pos]
+
+
+def _catalog_texts():
+    texts = set()
+    for job in load_catalog().CATALOG.values():
+        texts.update((job.s, job.g))
+    return sorted(texts)
+
+
+def test_dict_evaluation_matches_polynomial_evaluation():
+    rng = random.Random(13)
+    texts = []
+    for _ in range(3000):
+        text = _random_expr(rng)
+        texts.append(text)
+        if rng.random() < 0.35:
+            texts.append(_mutated(rng, text))
+    errors = 0
+    for text in texts:
+        expected = _outcome(_reference_parse, text, XYZ)
+        assert _outcome(parse_polynomial, text, XYZ) == expected, text
+        errors += isinstance(expected, tuple)
+    assert errors > 300  # the malformed texts compare their errors too
+    catalog = _catalog_texts()
+    variables = ("z0", "z1", "z2")
+    for text in catalog:
+        assert _outcome(parse_polynomial, text, variables) == _outcome(
+            _reference_parse, text, variables
+        ), text
+    assert len(texts) + len(catalog) >= 3000
+
+
+def test_repeated_variable_names_raise_as_before():
+    for text in ("x", "2", "x+@", "(x", "1/0"):
+        expected = _outcome(_reference_parse, text, ("x", "x"))
+        assert _outcome(parse_polynomial, text, ("x", "x")) == expected, text
+
+
+def test_power_term_bound_refuses_before_expanding(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(parser, "_multiply", refuse)
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    monkeypatch.setattr(RationalFunction, "__pow__", refuse)
+    for text, parse, col in (
+        ("(x+y+z+1)^4096", parse_polynomial, 11),
+        ("(x+y+z+1)^4096+", parse_polynomial, 11),
+        ("((x+y+z+1) /\\ 1)^4096", parse_form, 18),
+        ("((x+y) /\\ 0)*(x+y+z+1)^4096", parse_form, 24),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text, XYZ)
+        assert (info.value.line, info.value.col) == (1, col), text
+        assert f"may exceed {parser.MAX_TERMS} terms" in str(info.value)
+    # the bound is comb(n + 2, 2) for three terms: 100,128 at n = 446, 99,681 at 445
+    assert comb(448, 2) > parser.MAX_TERMS >= comb(447, 2)
+    with pytest.raises(ParseError):
+        parse_polynomial("(x+y+z)^446", XYZ)
+    with pytest.raises(AssertionError, match="a product was formed"):
+        parse_polynomial("(x+y+z)^445", XYZ)
+
+
+def test_bounded_powers_and_long_sums_still_parse():
+    variables = ("z0", "z1", "z2")
+    power = parse_polynomial("(1+z0+z1+z2)^4", variables)
+    assert len(power.terms) == comb(4 + 3, 3)
+    assert power == (Polynomial.one(variables) + sum(Polynomial.generators(variables), 0)) ** 4
+    # a 20,000-term sum of c*x^a*y^b*z^c, accumulated as the sum of its terms
+    rng = random.Random(21)
+    pieces, expected = [], {}
+    for i in range(20000):
+        c, a, b, e = rng.randint(1, 9), rng.randint(0, 30), rng.randint(0, 30), rng.randint(0, 30)
+        sign = rng.choice((1, -1))
+        pieces.append(("-" if sign < 0 else ("+" if i else "")) + f"{c}*x^{a}*y^{b}*z^{e}")
+        key = (a, b, e)
+        total = expected.get(key, 0) + sign * c
+        if total:
+            expected[key] = total
+        else:
+            del expected[key]
+    parsed = parse_polynomial("".join(pieces), XYZ)
+    assert [(m.exponents, c) for m, c in parsed.terms.items()] == list(expected.items())

@@ -20,11 +20,19 @@ The public constructors `Monomial(...)` and `Polynomial(...)` check what
 they are given.  Results built inside this module (ring operations,
 derivatives, substitutions, division, the monomial shift of a rational
 function) are already clean, so they are wrapped without a second check,
-and so are single terms built elsewhere in the package (`_single_term`):
-products and sums accumulate on plain exponent tuples and become `Monomial`
-keys only at the end, and a `Monomial` computes its degree and hash once,
-when it is built.  Division by one polynomial takes terms from a graded-lex
-max-heap, in the same order a scan for the largest term would.  `divides`
+and so are single terms built elsewhere in the package (`_single_term`).
+The private term kernels `_add_terms`, `_mul_terms`, `_pow_terms`,
+`_shifted` (times a scalar and a monomial) and `_map_terms` (a monomial
+map) are the only exponent arithmetic in the package, apart from division
+and derivatives in this module.  They work on plain {exponent tuple:
+coefficient} dicts; `_terms` reads such a dict off a polynomial and `_wrap`
+makes it one, with `Monomial` keys only at the end.  `Polynomial`'s
+operations, the parser and the forms layer all call them, so one operation
+gives the same terms in the same order wherever it runs.  A `Monomial`
+computes its degree and hash once, when it is built.
+
+Division by one polynomial takes terms from a graded-lex max-heap, in the
+same order a scan for the largest term would.  `divides`
 first compares exponent ranges: for p = q*d the Newton polytope of p is the
 Minkowski sum of those of q and d (Ostrowski), so along each variable and
 along the total degree the range max - min of p is that of q plus that of d,
@@ -34,15 +42,17 @@ so a difference of two exponent vectors of d outside the span of p's
 differences rejects as well.  A single term c*u^a needs no division: it
 divides p exactly when a is at most the monomial content of p.
 
-A rational function runs its two division probes only when, after the
-common monomial content is shifted out, the numerator is constant or both
-sides have at least two terms.  Otherwise both probes return (False, None):
+A rational function runs its division probes only when, after the common
+monomial content is shifted out, the numerator is constant or both sides
+have at least two terms.  Otherwise both probes return (False, None):
 after the shift min(ncont_i, dcont_i) = 0 for every variable, a multi-term
 polynomial never divides a single term (its exponent ranges are not all 0),
 and a non-constant single term u^a never divides the other side, whose
-content is 0 in each u_i with a_i > 0.  The probe of a constant numerator
-always succeeds and is kept: it rewrites the denominator in graded-lex
-descending order, which the float evaluators of numint follow.
+content is 0 in each u_i with a_i > 0.  A constant numerator runs only the
+second probe, num dividing den: a non-constant den never divides a nonzero
+constant.  That probe always succeeds and is kept: it rewrites the
+denominator in graded-lex descending order, which the float evaluators of
+numint follow.
 
 Scalar prefactors that are not rational (2*pi*i and friends) never enter
 this layer; higher layers carry them as symbolic tags.
@@ -54,7 +64,7 @@ import heapq
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from operator import add, gt, neg, sub
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -128,21 +138,6 @@ class Monomial:
 
     def __reduce__(self):
         return Monomial, (self.exponents,)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if len(self.exponents) != len(other.exponents):
-            raise ArityError("cannot multiply monomials of different arity")
-        return _monomial(tuple(map(add, self.exponents, other.exponents)))
-
-    def divides(self, other: "Monomial") -> bool:
-        if len(self.exponents) != len(other.exponents):
-            raise ArityError("cannot compare monomials of different arity")
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
-            raise AlgebraError(f"{other.exponents} does not divide {self.exponents}")
-        return _monomial(tuple(map(sub, self.exponents, other.exponents)))
 
 
 # slot setters that bypass the immutability guard, for construction only
@@ -288,10 +283,7 @@ class Polynomial:
 
     def _merge(self, other: "Polynomial", negate: bool) -> "Polynomial":
         """self + other, or self - other, in the term order of self then other."""
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            _accumulate(merged, mono, -coeff if negate else coeff)
-        return _polynomial(self.variables, merged)
+        return _polynomial(self.variables, _add_terms(dict(self.terms), other.terms, negate))
 
     def __add__(self, other):
         other = self._coerce_operand(other)
@@ -326,34 +318,14 @@ class Polynomial:
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
-        # accumulate on exponent tuples, whose hash and equality run in C
-        out: Dict[Tuple[int, ...], Scalar] = {}
-        right = [(m.exponents, c) for m, c in other.terms.items()]
-        for m1, c1 in self.terms.items():
-            e1 = m1.exponents
-            for e2, c2 in right:
-                _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
-        return _polynomial(self.variables, {_monomial(e): c for e, c in out.items()})
+        return _wrap(self.variables, _mul_terms(_terms(self), _terms(other)))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise AlgebraError("polynomial powers take nonnegative integer exponents")
-        if len(self.terms) == 1:
-            ((mono, coeff),) = self.terms.items()
-            exps = tuple(e * exponent for e in mono.exponents)
-            return _polynomial(self.variables, {_monomial(exps): coeff**exponent})
-        result = Polynomial.one(self.variables)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _wrap(self.variables, _pow_terms(_terms(self), exponent, len(self.variables)))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -394,7 +366,8 @@ class Polynomial:
                 if im.variables != target:
                     raise ArityError("substitution images use different variable tuples")
         if all(len(im.terms) == 1 for im in images):
-            return self._substitute_monomials(images, target)
+            rows = _monomial_rows(images)
+            return _wrap(target, _map_terms(_terms(self), rows, len(target)))
         acc = Polynomial.zero(target)
         # cache of incremental powers, one list per variable
         powers = [[Polynomial.one(target), im] for im in images]
@@ -409,34 +382,6 @@ class Polynomial:
                 term = term * cache[e]
             acc = acc + term
         return acc
-
-    def _substitute_monomials(
-        self, images: Sequence["Polynomial"], target: Tuple[str, ...]
-    ) -> "Polynomial":
-        """Substitution of single-term images c_i * u^(M_i), by exponent arithmetic.
-
-        A term c * z^e goes to c * prod c_i^(e_i) * u^(sum e_i M_i); no power
-        of an image is built.  Terms accumulate in the order of self.terms.
-        """
-        rows = []
-        for im in images:
-            ((mono, c),) = im.terms.items()
-            row = tuple((j, m) for j, m in enumerate(mono.exponents) if m)
-            rows.append((row, None if c == 1 else c))
-        width = len(target)
-        out: Dict[Tuple[int, ...], Scalar] = {}
-        for mono, coeff in self.terms.items():
-            exps = [0] * width
-            for e, (row, c) in zip(mono.exponents, rows):
-                if e == 0:
-                    continue
-                for j, m in row:
-                    exps[j] += e * m
-                if c is not None:
-                    coeff = coeff * c**e
-            if coeff:
-                _accumulate(out, tuple(exps), coeff)
-        return _polynomial(target, {_monomial(e): c for e, c in out.items()})
 
     def evaluate(self, values: Sequence):
         if len(values) != len(self.variables):
@@ -532,6 +477,102 @@ def _accumulate(out: dict, key, value: Scalar) -> None:
             out[key] = total
         else:
             del out[key]
+
+
+# -- term kernels on {exponent tuple: nonzero coefficient} dicts ------------
+
+
+def _terms(p: Polynomial) -> Dict[Tuple[int, ...], Scalar]:
+    return {m.exponents: c for m, c in p.terms.items()}
+
+
+def _wrap(variables: Tuple[str, ...], terms: Dict[Tuple[int, ...], Scalar]) -> Polynomial:
+    """A term dict over checked variables as its Polynomial, without a check."""
+    return _polynomial(variables, {_monomial(e): c for e, c in terms.items()})
+
+
+def _add_terms(acc: dict, terms: Mapping, negate: bool = False) -> dict:
+    """acc += terms, or acc -= terms, in place and in the order of terms.
+
+    Only keys are compared, so Monomial-keyed dicts add the same way."""
+    for key, coeff in terms.items():
+        _accumulate(acc, key, -coeff if negate else coeff)
+    return acc
+
+
+def _mul_terms(left: Mapping, right: Mapping) -> Dict[Tuple[int, ...], Scalar]:
+    """The product of two term dicts, accumulated left term by left term."""
+    out: Dict[Tuple[int, ...], Scalar] = {}
+    pairs = list(right.items())
+    for e1, c1 in left.items():
+        for e2, c2 in pairs:
+            _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
+    return out
+
+
+def _pow_terms(base: Mapping, n: int, width: int) -> Dict[Tuple[int, ...], Scalar]:
+    """base ** n for a term dict in width variables.
+
+    A single term is raised directly.  Otherwise square-and-multiply from the
+    constant 1: one product per set bit of n, one squaring per later bit.
+    """
+    if len(base) == 1:
+        ((exps, coeff),) = base.items()
+        return {tuple(e * n for e in exps): coeff**n}
+    result = {(0,) * width: 1}
+    while n:
+        if n & 1:
+            result = _mul_terms(result, base)
+        n >>= 1
+        if n:
+            base = _mul_terms(base, base)
+    return result
+
+
+def _shifted(
+    terms: Mapping, shift: Sequence[int], scale: Optional[Scalar] = None
+) -> Dict[Tuple[int, ...], Scalar]:
+    """terms times scale * u^shift, for a nonzero scale.
+
+    A shift may have negative entries, down to minus the monomial content of
+    the terms.  Without a scale the coefficients are kept as they are; with
+    one, an integral product is stored as its int, as Polynomial(...) does.
+    """
+    if scale is None:
+        return {tuple(map(add, e, shift)): c for e, c in terms.items()}
+    return {tuple(map(add, e, shift)): _coerce_coefficient(c * scale) for e, c in terms.items()}
+
+
+def _monomial_rows(images: Sequence[Polynomial]):
+    """The single-term images c_i * u^(M_i) of a monomial map as rows: the
+    nonzero entries (j, M_ij) of M_i, and c_i, or None when c_i is 1."""
+    rows = []
+    for im in images:
+        ((mono, c),) = im.terms.items()
+        row = tuple((j, m) for j, m in enumerate(mono.exponents) if m)
+        rows.append((row, None if c == 1 else c))
+    return rows
+
+
+def _map_terms(terms: Mapping, rows, width: int) -> Dict[Tuple[int, ...], Scalar]:
+    """The image of a term dict under the monomial map of _monomial_rows.
+
+    A term c * z^e goes to c * prod c_i^(e_i) * u^(sum e_i M_i); no power of an
+    image is built.  Terms accumulate in the order of terms.
+    """
+    out: Dict[Tuple[int, ...], Scalar] = {}
+    for exps_in, coeff in terms.items():
+        exps = [0] * width
+        for e, (row, c) in zip(exps_in, rows):
+            if e == 0:
+                continue
+            for j, m in row:
+                exps[j] += e * m
+            if c is not None:
+                coeff = coeff * c**e
+        if coeff:
+            _accumulate(out, tuple(exps), coeff)
+    return out
 
 
 def divide_with_remainder(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Polynomial]:
@@ -665,12 +706,14 @@ def _divides_by_term(d: Polynomial, p: Polynomial) -> Tuple[bool, Polynomial]:
 
 
 def poly_with_variables(p: Polynomial, variables: Sequence[str]) -> Polynomial:
-    """Re-express p over another variable tuple.
+    """Re-express p over another variable tuple; p itself if it is p's own.
 
     New variables may be added freely; a variable may be dropped only if no
     term of p uses it.
     """
     variables = tuple(variables)
+    if variables == p.variables:
+        return p
     positions = {name: i for i, name in enumerate(variables)}
     for i, name in enumerate(p.variables):
         if name not in positions and p.uses_variable(i):
@@ -725,14 +768,16 @@ class RationalFunction:
         dcont = den.monomial_content().exponents
         common = tuple(map(min, ncont, dcont))
         if any(common):
-            num = _shift_down(num, common)
-            den = _shift_down(den, common)
+            shift = tuple(map(neg, common))
+            num = _wrap(variables, _shifted(_terms(num), shift))
+            den = _wrap(variables, _shifted(_terms(den), shift))
         # the probe rule of the module docstring: with the content shifted
-        # out, no other probe can succeed
+        # out, no other probe can succeed, and a non-constant den never
+        # divides a constant num
         if not den.is_constant and (
             num.is_constant or (len(num.terms) > 1 and len(den.terms) > 1)
         ):
-            ok, q = divides(den, num)
+            ok, q = (False, None) if num.is_constant else divides(den, num)
             if ok:
                 num, den = q, _single_term(variables, (0,) * len(variables))
             else:
@@ -887,14 +932,6 @@ class RationalFunction:
 def _divided(p: Polynomial, value: Scalar) -> Polynomial:
     """p / value, coefficient by coefficient, for a nonzero scalar value."""
     return _polynomial(p.variables, {m: _divide(c, value) for m, c in p.terms.items()})
-
-
-def _shift_down(p: Polynomial, shift: Tuple[int, ...]) -> Polynomial:
-    """p / u^shift for a shift below the monomial content of p."""
-    return _polynomial(
-        p.variables,
-        {_monomial(tuple(map(sub, m.exponents, shift))): c for m, c in p.terms.items()},
-    )
 
 
 def rational_with_variables(rf: RationalFunction, variables: Sequence[str]) -> RationalFunction:

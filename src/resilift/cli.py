@@ -103,6 +103,9 @@ def load_job(path) -> JobSpec:
     except (WeightError, ValueError, ZeroDivisionError) as exc:
         raise JobError(f"bad weights {weights_raw}: {exc}") from None
 
+    for key in ("s", "g"):
+        if not isinstance(raw.get(key, ""), str):
+            raise JobError(f"{key} must be a string, got {json.dumps(raw[key])}")
     try:
         s = parse_polynomial(raw["s"], variables)
         g = parse_polynomial(raw.get("g", "1"), variables)

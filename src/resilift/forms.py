@@ -24,12 +24,20 @@ term c_i * u^(M_i), a monomial map such as the branched cover or a blow-up
 chart, it works on the integer exponent matrix M instead: coefficients are
 substituted by exponent arithmetic, and dz_I goes straight to the sum over J
 of det M[I,J] times a monomial times du_J, with no wedge products.
+
+All exponent arithmetic here (that monomial map, the shifts of the pulled
+back numerators and of ``split_du0``) runs on the term kernels of
+``algebra``, and what they build is wrapped without a second check.  Sums,
+wedge products and exterior derivatives hand their (basis key, coefficient)
+pieces to the ``DifferentialForm`` constructor, which adds the pieces on one
+key and drops zeros.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .algebra import (
@@ -39,7 +47,12 @@ from .algebra import (
     ZeroDenominatorError,
     _divide,
     _divided,
+    _map_terms,
+    _monomial_rows,
+    _shifted,
     _single_term,
+    _terms,
+    _wrap,
     divide_with_remainder,
     divides,
     poly_with_variables,
@@ -171,17 +184,9 @@ class DifferentialForm:
         if not isinstance(other, DifferentialForm):
             return NotImplemented
         self._check_same_variables(other)
-        merged = dict(self.components)
-        for key, coeff in other.components.items():
-            if key in merged:
-                total = merged[key] + coeff
-                if total.is_zero:
-                    del merged[key]
-                else:
-                    merged[key] = total
-            else:
-                merged[key] = coeff
-        return DifferentialForm(self.variables, merged)
+        return DifferentialForm(
+            self.variables, chain(self.components.items(), other.components.items())
+        )
 
     def __neg__(self):
         return DifferentialForm(
@@ -279,44 +284,31 @@ def volume_form(variables: Sequence[str], coeff: Coefficient = 1) -> Differentia
 def wedge(a: DifferentialForm, b: DifferentialForm) -> DifferentialForm:
     """Exterior product; repeated basis indices annihilate."""
     a._check_same_variables(b)
-    out: Dict[Tuple[int, ...], RationalFunction] = {}
+    pieces = []
     for ka, ca in a.components.items():
         for kb, cb in b.components.items():
             sign, merged = _merge_signed(ka, kb)
-            if sign == 0:
-                continue
-            coeff = ca * cb
-            if sign < 0:
-                coeff = -coeff
-            if merged in out:
-                total = out[merged] + coeff
-                if total.is_zero:
-                    del out[merged]
-                else:
-                    out[merged] = total
-            else:
-                if not coeff.is_zero:
-                    out[merged] = coeff
-    return DifferentialForm(a.variables, out)
+            if sign:
+                coeff = ca * cb
+                pieces.append((merged, coeff if sign > 0 else -coeff))
+    # the constructor sums pieces landing on one key and drops zeros
+    return DifferentialForm(a.variables, pieces)
 
 
 def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
     """d(f dz_I) = sum_i (df/dz_i) dz_i /\\ dz_I, via the quotient rule."""
-    out = DifferentialForm.zero(a.variables)
-    n = len(a.variables)
+    pieces = []
     for key, coeff in a.components.items():
-        for i in range(n):
+        for i in range(len(a.variables)):
             if i in key:
                 continue
             dc = coeff.partial_derivative(i)
             if dc.is_zero:
                 continue
             sign, merged = _merge_signed((i,), key)
-            if sign == 0:
-                continue
-            term = dc if sign > 0 else -dc
-            out = out + DifferentialForm(a.variables, {merged: term})
-    return out
+            if sign:
+                pieces.append((merged, dc if sign > 0 else -dc))
+    return DifferentialForm(a.variables, pieces)
 
 
 def d_of_polynomial(p: Polynomial) -> DifferentialForm:
@@ -357,7 +349,7 @@ class _Cleared:
 
     def add_d_wedge(self, f: Polynomial, a: DifferentialForm):
         """Add df /\\ a for a polynomial f."""
-        f = _embed(f, a.variables)
+        f = poly_with_variables(f, a.variables)
         for i in range(len(a.variables)):
             f_i = f.partial_derivative(i)
             if f_i.is_zero:
@@ -442,53 +434,50 @@ def _pullback_monomial(
     to the sum over J of (f o phi) * prod_{i in I} c_i * det M[I,J] *
     u^(sum_{i in I} M_i - sum_{j in J} e_j) du_J.  A nonzero minor puts a
     positive entry in every column j of J, so those exponents stay
-    nonnegative.  Each component costs one RationalFunction construction.
+    nonnegative.  The images are unpacked once; each component maps its num
+    and den once, and each nonzero minor costs one `_shifted` copy of the
+    mapped num and one RationalFunction construction.
     """
-    rows = []
-    for im in images:
-        ((mono, c),) = im.terms.items()
-        rows.append((mono.exponents, c))
+    rows = _monomial_rows(images)
     width = len(target)
     pieces = []
     for key, coeff in a.components.items():
-        num = coeff.num.substitute(images)
-        den = coeff.den.substitute(images)
-        if den.is_zero:
+        num = _map_terms(_terms(coeff.num), rows, width)
+        den = _map_terms(_terms(coeff.den), rows, width)
+        if not den:
             raise ZeroDenominatorError("substitution sends the denominator to zero")
+        den = _wrap(target, den)
         scale = 1
         base = [0] * width
         for i in key:
-            exps, c = rows[i]
-            scale *= c
-            for j, m in enumerate(exps):
+            row, c = rows[i]
+            if c is not None:
+                scale *= c
+            for j, m in row:
                 base[j] += m
         for cols, minor in _minors([rows[i][0] for i in key]).items():
             shift = list(base)
             for j in cols:
                 shift[j] -= 1
-            factor = scale * minor
-            shifted = {
-                tuple(e + d for e, d in zip(mono.exponents, shift)): c * factor
-                for mono, c in num.terms.items()
-            }
-            pieces.append((cols, RationalFunction(Polynomial(target, shifted), den)))
+            shifted = _wrap(target, _shifted(num, shift, scale * minor))
+            pieces.append((cols, RationalFunction(shifted, den)))
     # the constructor sums pieces landing on one du_J and drops zeros
     return DifferentialForm(target, pieces)
 
 
-def _minors(rows: Sequence[Tuple[int, ...]]) -> Dict[Tuple[int, ...], int]:
+def _minors(rows) -> Dict[Tuple[int, ...], int]:
     """Nonzero maximal minors det M[I, J] of the given exponent rows, keyed by J.
 
-    Expands the wedge of the rows' supports: each choice of one nonzero
-    entry per row contributes its product, signed by sorting its columns.
+    Each row lists its nonzero entries (j, M_ij), as `algebra._monomial_rows`
+    gives them.  Expands the wedge of the rows' supports: each choice of one
+    nonzero entry per row contributes its product, signed by sorting its
+    columns.
     """
     minors: Dict[Tuple[int, ...], int] = {(): 1}
     for row in rows:
         grown: Dict[Tuple[int, ...], int] = {}
         for cols, value in minors.items():
-            for j, m in enumerate(row):
-                if m == 0:
-                    continue
+            for j, m in row:
                 sign, merged = _merge_signed(cols, (j,))
                 if sign:
                     grown[merged] = grown.get(merged, 0) + sign * value * m
@@ -517,19 +506,13 @@ def _strip_variable_power(coeff: RationalFunction, index: int):
     num, den = coeff.num, coeff.den
     cn = num.monomial_content().exponents[index]
     cd = den.monomial_content().exponents[index]
-
-    def strip(poly: Polynomial, amount: int) -> Polynomial:
-        if amount == 0:
-            return poly
-        out = {}
-        for mono, c in poly.terms.items():
-            exps = list(mono.exponents)
-            exps[index] -= amount
-            out[tuple(exps)] = c
-        return Polynomial(poly.variables, out)
-
-    num = strip(num, cn)
-    den = strip(den, cd)
+    shift = [0] * len(num.variables)
+    if cn:
+        shift[index] = -cn
+        num = _wrap(num.variables, _shifted(_terms(num), shift))
+    if cd:
+        shift[index] = -cd
+        den = _wrap(den.variables, _shifted(_terms(den), shift))
     if num.uses_variable(index) or den.uses_variable(index):
         raise SplitError(
             "coefficient is not a pure power of the chart variable times a "
@@ -656,7 +639,7 @@ def equal_mod_hypersurface(
     denominator, has numerator divisible by f.  Denominators divisible by f
     raise PoleError instead of producing a verdict.
     """
-    f = _embed(f, a.variables)
+    f = poly_with_variables(f, a.variables)
     _require_comparable(a, b, f)
     diff = a - b
     if diff.is_zero:
@@ -678,7 +661,7 @@ def scalar_mod_hypersurface(
     Returns None when no scalar works or when every scalar works (b a
     multiple of f times anything, say), since then no scalar is determined.
     """
-    f = _embed(f, a.variables)
+    f = poly_with_variables(f, a.variables)
     _require_comparable(a, b, f)
     wa = wedge(d_of_polynomial_over(f, a.variables), a)
     wb = wedge(d_of_polynomial_over(f, a.variables), b)
@@ -708,13 +691,7 @@ def scalar_mod_hypersurface(
     return candidate
 
 
-def _embed(f: Polynomial, variables: Tuple[str, ...]) -> Polynomial:
-    if f.variables == variables:
-        return f
-    return poly_with_variables(f, variables)
-
-
 def d_of_polynomial_over(
     p: Polynomial, variables: Tuple[str, ...]
 ) -> DifferentialForm:
-    return d_of_polynomial(_embed(p, variables))
+    return d_of_polynomial(poly_with_variables(p, variables))

@@ -26,28 +26,25 @@ error is raised at the point where it is read, so in form mode a semantic
 error such as a power of a 1-form is reported ahead of a later syntax error.
 
 A scalar value is a plain {exponent tuple: nonzero coefficient} dict: a
-variable or a nonzero literal is a one-entry dict, a sum accumulates into
-the dict of its first term, a product multiplies on tuples, and a power of a
-multi-term base squares in the order `Polynomial.__pow__` uses.  Each step
-repeats the arithmetic of the `Polynomial` operation it stands for, so the
-terms, their order and their int or Fraction coefficients are the ones that
-operation gives; the result is wrapped once, by the trusted
-`algebra._polynomial`.  A dict becomes a `Polynomial` only where it meets a
-differential form (or the coefficient of a form), and from there on the
-form operations apply.  Before a power of a t-term base is expanded, its
-term count is bounded by comb(n + t - 1, t - 1), the number of monomials of
-degree n in t symbols; a power that may exceed MAX_TERMS terms is refused at
-its exponent.
+variable or a nonzero literal is a one-entry dict, and sums (into the dict
+of the first term), products and powers run on the term kernels of
+`algebra`.  `Polynomial`'s own operations call the same kernels, so the
+terms, their order and their int or Fraction coefficients are the ones
+those operations give; the result is wrapped once, by `algebra._wrap`.  A
+dict becomes a `Polynomial` only where it meets a differential form (or the
+coefficient of a form), and from there on the form operations apply.
+Before a power of a t-term base is expanded, its term count is bounded by
+comb(n + t - 1, t - 1), the number of monomials of degree n in t symbols; a
+power that may exceed MAX_TERMS terms is refused at its exponent.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from operator import add
 from typing import Sequence, Tuple
 
-from .algebra import Polynomial, RationalFunction, _accumulate, _monomial, _polynomial
+from .algebra import Polynomial, RationalFunction, _add_terms, _mul_terms, _pow_terms, _wrap
 from .forms import DifferentialForm, differential, function_form, wedge
 
 MAX_DEPTH = 200
@@ -178,9 +175,7 @@ class _Parser:
     def lift(self, value):
         """A scalar dict as its Polynomial; any other value as it is."""
         if value.__class__ is dict:
-            return _polynomial(
-                self.variables, {_monomial(e): c for e, c in value.items()}
-            )
+            return _wrap(self.variables, value)
         return value
 
     def form(self, value) -> DifferentialForm:
@@ -215,7 +210,7 @@ class _Parser:
                 negate = self.advance().kind == "-"
                 right = self.term()
                 if value.__class__ is dict and right.__class__ is dict:
-                    _add_into(value, right, negate)
+                    _add_terms(value, right, negate)
                     continue
                 if negate:
                     right = _negated(right)
@@ -233,7 +228,7 @@ class _Parser:
             op = self.advance()
             right = self.factor(coefficient_position=False)
             if value.__class__ is dict and right.__class__ is dict:
-                value = _multiply(value, right)
+                value = _mul_terms(value, right)
             else:
                 value = _product(self.lift(value), self.lift(right), op)
         return value
@@ -262,7 +257,7 @@ class _Parser:
                     number.col,
                 )
             if scalar.__class__ is dict:
-                value = _power(scalar, exponent, self.origin)
+                value = _pow_terms(scalar, exponent, len(self.variables))
             else:
                 value = scalar**exponent
         return value
@@ -355,40 +350,6 @@ class _Parser:
 
 
 # -- evaluation helpers ---------------------------------------------------
-#
-# The dict helpers repeat Polynomial's own arithmetic on exponent tuples, with
-# its _accumulate: _add_into is __add__/__sub__, _multiply is __mul__ and
-# _power is __pow__, so terms come out in the same order.
-
-
-def _add_into(acc: dict, right: dict, negate: bool) -> None:
-    """acc += right, or acc -= right, in place."""
-    for exps, coeff in right.items():
-        _accumulate(acc, exps, -coeff if negate else coeff)
-
-
-def _multiply(left: dict, right: dict) -> dict:
-    out = {}
-    pairs = list(right.items())
-    for e1, c1 in left.items():
-        for e2, c2 in pairs:
-            _accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
-    return out
-
-
-def _power(base: dict, exponent: int, origin: Tuple[int, ...]) -> dict:
-    """base ** exponent, by Polynomial.__pow__'s squaring."""
-    if len(base) == 1:
-        ((exps, coeff),) = base.items()
-        return {tuple(e * exponent for e in exps): coeff**exponent}
-    result = {origin: 1}
-    while exponent:
-        if exponent & 1:
-            result = _multiply(result, base)
-        exponent >>= 1
-        if exponent:
-            base = _multiply(base, base)
-    return result
 
 
 def _negated(value):

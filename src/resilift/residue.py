@@ -206,10 +206,14 @@ def residue_division(eta: DifferentialForm, f: Polynomial, chart: int) -> ChartF
 
 
 def _residue_division(
-    eta: DifferentialForm, f: Polynomial, chart: int, f_chart: Polynomial
+    eta: DifferentialForm,
+    f: Polynomial,
+    chart: int,
+    f_chart: Polynomial,
+    certificate: Optional[NonvanishingCertificate] = None,
 ) -> ChartForm:
     """residue_division for a nonzero top form eta over f's variables, a chart
-    in range, f_chart = df/du_chart."""
+    in range, f_chart = df/du_chart; the chart form carries the certificate."""
     variables = f.variables
     n = len(variables)
     _require_usable_chart(f, chart, f_chart)
@@ -220,7 +224,7 @@ def _residue_division(
     r = basis_form(variables, indices, coeff)
     if _Cleared().add_d_wedge(f, r) != _Cleared().add_form(eta):
         raise ResidueDivisionError("defining identity failed to close")
-    return ChartForm(chart_index=chart, relation=f, form=r)
+    return ChartForm(chart_index=chart, relation=f, form=r, certificate=certificate)
 
 
 def cover_pullback_form(
@@ -389,14 +393,12 @@ def _second_residue(
     chart, s_chart_derivative = _first_usable_chart(s_chart)
     if chart is None:
         raise DegenerateChartError("chart equation has no usable chart")
-    result = _residue_division(rhs, s_chart, chart, s_chart_derivative)
-    return ChartForm(
-        chart_index=result.chart_index,
-        relation=result.relation,
-        form=result.form,
-        certificate=NonvanishingCertificate(
-            numerator=g_chart, relation=s_chart
-        ),
+    return _residue_division(
+        rhs,
+        s_chart,
+        chart,
+        s_chart_derivative,
+        NonvanishingCertificate(numerator=g_chart, relation=s_chart),
     )
 
 

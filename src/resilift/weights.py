@@ -60,6 +60,8 @@ def _coerce_weight(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
+        if isinstance(value, bool):  # JSON true is not the weight 1
+            raise WeightError(f"cannot read {value!r} as a rational weight")
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

@@ -308,6 +308,37 @@ def test_batch_mode_reports_failures(tmp_path, capsys):
     assert "good.json: OBSTRUCTED" in out
 
 
+NON_STRING_FIELDS = (
+    ({"s": 5}, "s must be a string, got 5"),
+    ({"g": None}, "g must be a string, got null"),
+    ({"g": ["1"]}, 'g must be a string, got ["1"]'),
+    (
+        {"weights": [True, "1/3", "1/3"]},
+        "bad weights [True, '1/3', '1/3']: cannot read True as a rational weight",
+    ),
+)
+
+
+def test_non_string_polynomials_and_bool_weights_are_job_errors(tmp_path, capsys):
+    for change, message in NON_STRING_FIELDS:
+        path = write_job(tmp_path, {**FERMAT_JOB, **change})
+        with pytest.raises(JobError) as info:
+            load_job(path)
+        assert str(info.value) == message
+        assert main(["analyze", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_batch_mode_reports_non_string_fields(tmp_path, capsys):
+    write_job(tmp_path, FERMAT_JOB, "good.json")
+    for i, (change, _) in enumerate(NON_STRING_FIELDS):
+        write_job(tmp_path, {**FERMAT_JOB, **change}, f"bad_{i}.json")
+    assert main(["--batch", str(tmp_path)]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        f"bad_{i}.json: error: {message}" for i, (_, message) in enumerate(NON_STRING_FIELDS)
+    ] + ["good.json: OBSTRUCTED"]
+
+
 def test_batch_mode_empty_directory(tmp_path, capsys):
     assert main(["--batch", str(tmp_path)]) == 2
     assert main(["--batch", str(tmp_path / "nope")]) == 2

@@ -17,6 +17,7 @@ from resilift.forms import (
     SplitError,
     SplitResult,
     _Cleared,
+    _merge_signed,
     _recombines,
     basis_form,
     d_of_polynomial,
@@ -421,3 +422,167 @@ def test_form_scalar_multiplication():
     assert (dx * F(1, 2)) * 2 == dx
     x = Polynomial.variable(XYZ, "x")
     assert (dx * x).components[(0,)] == RationalFunction.from_polynomial(x)
+
+
+# -- the constructor's accumulation against the loops it replaced ----------
+#
+# DifferentialForm.__add__, wedge, exterior_derivative and the monomial
+# pullback as they were written before they handed their pieces to the
+# DifferentialForm constructor and to algebra's term kernels.
+
+
+def _ref_add(a, b):
+    merged = dict(a.components)
+    for key, coeff in b.components.items():
+        if key in merged:
+            total = merged[key] + coeff
+            if total.is_zero:
+                del merged[key]
+            else:
+                merged[key] = total
+        else:
+            merged[key] = coeff
+    return DifferentialForm(a.variables, merged)
+
+
+def _ref_wedge(a, b):
+    out = {}
+    for ka, ca in a.components.items():
+        for kb, cb in b.components.items():
+            sign, merged = _merge_signed(ka, kb)
+            if sign == 0:
+                continue
+            coeff = ca * cb
+            if sign < 0:
+                coeff = -coeff
+            if merged in out:
+                total = out[merged] + coeff
+                if total.is_zero:
+                    del out[merged]
+                else:
+                    out[merged] = total
+            else:
+                if not coeff.is_zero:
+                    out[merged] = coeff
+    return DifferentialForm(a.variables, out)
+
+
+def _ref_exterior_derivative(a):
+    out = DifferentialForm.zero(a.variables)
+    n = len(a.variables)
+    for key, coeff in a.components.items():
+        for i in range(n):
+            if i in key:
+                continue
+            dc = coeff.partial_derivative(i)
+            if dc.is_zero:
+                continue
+            sign, merged = _merge_signed((i,), key)
+            if sign == 0:
+                continue
+            term = dc if sign > 0 else -dc
+            out = _ref_add(out, DifferentialForm(a.variables, {merged: term}))
+    return out
+
+
+def _ref_minors(rows):
+    minors = {(): 1}
+    for row in rows:
+        grown = {}
+        for cols, value in minors.items():
+            for j, m in enumerate(row):
+                if m == 0:
+                    continue
+                sign, merged = _merge_signed(cols, (j,))
+                if sign:
+                    grown[merged] = grown.get(merged, 0) + sign * value * m
+        minors = {cols: v for cols, v in grown.items() if v}
+    return minors
+
+
+def _ref_pullback_monomial(a, images, target):
+    rows = []
+    for im in images:
+        ((mono, c),) = im.terms.items()
+        rows.append((mono.exponents, c))
+    width = len(target)
+    pieces = []
+    for key, coeff in a.components.items():
+        num = coeff.num.substitute(images)
+        den = coeff.den.substitute(images)
+        if den.is_zero:
+            raise ZeroDenominatorError("substitution sends the denominator to zero")
+        scale = 1
+        base = [0] * width
+        for i in key:
+            exps, c = rows[i]
+            scale *= c
+            for j, m in enumerate(exps):
+                base[j] += m
+        for cols, minor in _ref_minors([rows[i][0] for i in key]).items():
+            shift = list(base)
+            for j in cols:
+                shift[j] -= 1
+            factor = scale * minor
+            shifted = {
+                tuple(e + d for e, d in zip(mono.exponents, shift)): c * factor
+                for mono, c in num.terms.items()
+            }
+            pieces.append((cols, RationalFunction(Polynomial(target, shifted), den)))
+    return DifferentialForm(target, pieces)
+
+
+def _form_items(form):
+    """Keys in order, with each coefficient's terms and their types."""
+    return [
+        (
+            key,
+            [(m.exponents, c, type(c)) for m, c in coeff.num.terms.items()],
+            [(m.exponents, c, type(c)) for m, c in coeff.den.terms.items()],
+        )
+        for key, coeff in form.components.items()
+    ]
+
+
+def _random_form(rng, degrees=(0, 1, 2, 3)):
+    pieces = []
+    for _ in range(rng.randint(1, 4)):
+        key = tuple(sorted(rng.sample(range(3), rng.choice(degrees))))
+        den = random_polynomial(rng, max_degree=2, max_terms=2)
+        num = random_polynomial(rng, max_degree=2)
+        pieces.append((key, RationalFunction(num, den if not den.is_zero else Polynomial.one(XYZ))))
+    return DifferentialForm(XYZ, pieces)
+
+
+def test_form_operations_match_the_loops_they_replaced():
+    rng = random.Random(43)
+    cancelled = {"add": 0, "wedge": 0}
+    for case in range(250):
+        a = _random_form(rng)
+        b = _random_form(rng)
+        if case % 3 == 0:
+            # b takes back some of a's components, so a + b drops keys
+            b = b + DifferentialForm(
+                XYZ, [(k, -c) for k, c in a.components.items() if rng.random() < 0.7]
+            )
+        total = a + b
+        assert _form_items(total) == _form_items(_ref_add(a, b))
+        cancelled["add"] += len(total.components) < len(set(a.components) | set(b.components))
+        for left, right in ((a, b), (b, a)):
+            assert _form_items(wedge(left, right)) == _form_items(_ref_wedge(left, right))
+        one = _random_form(rng, degrees=(1,))
+        product = wedge(one, one)  # every pair cancels against its swap
+        assert _form_items(product) == _form_items(_ref_wedge(one, one))
+        cancelled["wedge"] += product.is_zero and len(one.components) > 1
+        assert _form_items(exterior_derivative(a)) == _form_items(_ref_exterior_derivative(a))
+
+        target = UV if case % 2 else ("u0", "u1", "u2")
+        images = random_monomial_map(rng, target)
+        try:
+            expected = _ref_pullback_monomial(a, images, target)
+        except ZeroDenominatorError:
+            with pytest.raises(ZeroDenominatorError):
+                pullback(a, images)
+            continue
+        assert _form_items(pullback(a, images)) == _form_items(expected)
+    assert all(count >= 20 for count in cancelled.values()), cancelled

@@ -232,6 +232,10 @@ def test_fuzz_totality():
 
 
 # -- the dict evaluation against the Polynomial evaluation it replaced ------
+#
+# Polynomial's operators and the parser's dict evaluation call the same term
+# kernels of algebra, so this compares how the two read and combine values;
+# test_algebra checks the kernels against the arithmetic they replaced.
 
 
 class _ReferenceParser(parser._Parser):
@@ -422,7 +426,9 @@ def test_power_term_bound_refuses_before_expanding(monkeypatch):
     def refuse(*args):
         raise AssertionError("a product was formed")
 
-    monkeypatch.setattr(parser, "_multiply", refuse)
+    # the parser's own power kernel; refusing _mul_terms would also stop the
+    # products of form coefficients that a wedge forms
+    monkeypatch.setattr(parser, "_pow_terms", refuse)
     monkeypatch.setattr(Polynomial, "__pow__", refuse)
     monkeypatch.setattr(RationalFunction, "__pow__", refuse)
     for text, parse, col in (

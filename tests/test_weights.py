@@ -46,6 +46,14 @@ def test_weight_system_coercion_and_validation():
         WeightSystem([1.5])
 
 
+def test_weight_system_rejects_bools():
+    # a bool is an int to Python, but JSON true is not the weight 1
+    for weights in ([True, "1/3", "1/3"], [F(1, 3), False], [True]):
+        with pytest.raises(WeightError, match="cannot read (True|False) as a rational weight"):
+            WeightSystem(weights)
+    assert WeightSystem([1, F(1, 3), "1/3"]).weights == (F(1), F(1, 3), F(1, 3))
+
+
 def test_valuation_poly_takes_the_max():
     x, y, z = Polynomial.generators(XYZ)
     w = WeightSystem(("1/3", "1/3", "1/4"))

@@ -7,12 +7,17 @@ Subcommands, one concern each:
     criterion <w0> <w1> ...                  the lift criterion for the weights
     pullback <job.json>                      branched cover image and probe
     integrate <job.json> [--steps N]         trace the chart curve, integrate
-    --batch <dir>                            run every job file in parallel
+    --batch <dir>                            run every job file in forked workers
 
 Exit codes for analyze: 0 the class lifts, 10 obstructed, 11 inconclusive,
 2 malformed input.  Reports are JSON with a fixed key order, rationals as
 "p/q" strings and forms as canonical text, so identical jobs produce byte
 identical reports.
+
+``--batch`` forks one worker per share of the sorted job list (at most one
+per CPU, at most 8); each worker reports its rows over its own pipe.  A
+worker that dies costs only the rows it had not reported yet; those become
+error rows.  Where ``os.fork`` is missing the jobs run in this process.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import select
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import Polynomial
 from .criteria import (
@@ -36,7 +42,7 @@ from .criteria import (
     spectrum_nonpositive,
 )
 from . import numint
-from .numint import CurveTrace, export_trace_csv, integrate_1form, trace_real_curve
+from .numint import export_trace_csv, integrate_1form, trace_real_curve
 from .parser import ParseError, parse_polynomial
 from .residue import ResidueReport, analyze
 from .weights import WeightError, WeightSystem, is_quasihomogeneous
@@ -98,10 +104,16 @@ def load_job(path) -> JobSpec:
         raise JobError(
             f"weights must be a list matching the {len(variables)} variables"
         )
+    for index, value in enumerate(weights_raw):
+        if isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise JobError(
+                f"weights[{index}] must be a string or an integer, "
+                f"got {json.dumps(value)}"
+            )
     try:
         weights = WeightSystem(weights_raw)
     except (WeightError, ValueError, ZeroDivisionError) as exc:
-        raise JobError(f"bad weights {weights_raw}: {exc}") from None
+        raise JobError(f"bad weights {json.dumps(weights_raw)}: {exc}") from None
 
     for key in ("s", "g"):
         if not isinstance(raw.get(key, ""), str):
@@ -119,7 +131,7 @@ def load_job(path) -> JobSpec:
     if unknown:
         raise JobError(
             "unknown option keys: "
-            + ", ".join(sorted(unknown))
+            + ", ".join(json.dumps(key) for key in sorted(unknown))
             + "; known: "
             + ", ".join(sorted(_KNOWN_OPTIONS))
         )
@@ -129,7 +141,7 @@ def load_job(path) -> JobSpec:
     flags = {key: options.get(key, False) for key in ("rescale_weights", "emit_trace")}
     for key, value in flags.items():
         if not isinstance(value, bool):
-            raise JobError(f"{key} must be true or false, got {value!r}")
+            raise JobError(f"{key} must be true or false, got {json.dumps(value)}")
     return JobSpec(
         variables=variables,
         weights=weights,
@@ -373,6 +385,79 @@ def _run_batch_job(path_str: str) -> Tuple[str, int, str]:
         return (path.name, INPUT_ERROR, f"error: {exc}")
 
 
+def _work_share(share: Sequence[str], write_fd: int, inherited: Sequence[int]) -> None:
+    """Forked child: one flushed JSON row per job on the pipe, then ``os._exit``.
+
+    ``_run_batch_job`` is read as a module global at call time, so a wrapper
+    installed on this module before the fork runs here too.  The child never
+    returns into its caller's stack, which belongs to the parent.
+    """
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(write_fd, "wb") as pipe:
+            for path_str in share:
+                pipe.write(json.dumps(_run_batch_job(path_str)).encode() + b"\n")
+                pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(jobs: Sequence[str], workers: int) -> List[Tuple[str, int, str]]:
+    """Run ``jobs[k::workers]`` in forked child ``k``; one row for every job."""
+    shares = [jobs[k::workers] for k in range(workers)]
+    pids = []
+    received = {}  # read end of child k's pipe, in order of k -> bytes read
+    try:
+        for share in shares:
+            read_fd, write_fd = os.pipe()
+            received[read_fd] = []
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work_share(share, write_fd, list(received))
+            finally:
+                os.close(write_fd)  # before the next fork: no child holds another's pipe
+            pids.append(pid)
+        # drain every pipe as it fills: a child blocked on a full pipe while
+        # another pipe is read to its end would never finish.  poll, unlike
+        # select, takes descriptors above 1023.
+        poller = select.poll()
+        for fd in received:
+            poller.register(fd, select.POLLIN)
+        pending = len(received)
+        while pending:
+            for fd, _ in poller.poll():
+                chunk = os.read(fd, 1 << 16)
+                if chunk:
+                    received[fd].append(chunk)
+                else:
+                    poller.unregister(fd)
+                    pending -= 1
+    finally:
+        for fd in received:
+            os.close(fd)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    rows = []
+    for share, data, status in zip(shares, received.values(), statuses):
+        # rows arrive in share order; text after the last newline was cut short
+        lines = b"".join(data).split(b"\n")[:-1]
+        rows.extend(tuple(json.loads(line)) for line in lines)
+        code = os.waitstatus_to_exitcode(status)
+        how = f"signal {-code}" if code < 0 else f"status {code}"
+        rows.extend(
+            (
+                Path(path_str).name,
+                INPUT_ERROR,
+                f"error: worker exited ({how}) before reporting this job",
+            )
+            for path_str in share[len(lines):]
+        )
+    return rows
+
+
 def cmd_batch(directory: str) -> int:
     root = Path(directory)
     if not root.is_dir():
@@ -386,14 +471,10 @@ def cmd_batch(directory: str) -> int:
     if not jobs:
         print(f"error: no job files in {directory}", file=sys.stderr)
         return INPUT_ERROR
-    # imported here: multiprocessing costs every other command import time
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(len(jobs), os.cpu_count() or 1, 8)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # a few chunks per worker: one IPC round trip per chunk, not per job
-        chunksize = max(1, len(jobs) // (4 * workers))
-        results = list(pool.map(_run_batch_job, jobs, chunksize=chunksize))
+    if hasattr(os, "fork"):
+        results = _run_forked(jobs, min(len(jobs), os.cpu_count() or 1, 8))
+    else:
+        results = [_run_batch_job(path_str) for path_str in jobs]
     results.sort(key=lambda row: row[0])
     failed = False
     for name, code, message in results:
@@ -415,7 +496,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batch",
         metavar="DIR",
-        help="process every job file in DIR in parallel workers",
+        help="process every job file in DIR in forked workers",
     )
     sub = parser.add_subparsers(dest="command")
 

@@ -3,11 +3,13 @@ determinism, batch mode."""
 
 import json
 import os
+import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from resilift import numint
+from resilift import cli, numint
 from resilift.cli import JobError, _dump, cmd_integrate, load_job, main, report_to_dict
 from resilift.numint import SingularPointError
 from resilift.residue import analyze
@@ -278,12 +280,13 @@ def test_batch_mode(tmp_path, capsys):
     assert main(["--batch", str(tmp_path)]) == 0
 
 
-def test_batch_mode_many_jobs_per_worker(tmp_path, capsys):
-    """More jobs than 4 per worker go out in chunks; rows and reports are unchanged."""
-    workers = min(os.cpu_count() or 1, 8)
-    exponents = [(p, q, r) for p in (2, 3, 4) for q in (3, 4, 5) for r in (3, 4, 5, 6, 7)]
+BP_EXPONENTS = [(p, q, r) for p in (2, 3, 4) for q in (3, 4, 5) for r in (3, 4, 5, 6, 7)]
+
+
+def write_bp_jobs(tmp_path, count):
+    """Write ``count`` Brieskorn-Pham jobs; map each file name to its verdict and report."""
     expected = {}
-    for p, q, r in exponents[: 4 * workers + 3]:
+    for p, q, r in BP_EXPONENTS[:count]:
         name = f"bp_{p}_{q}_{r}.json"
         payload = dict(
             FERMAT_JOB, s=f"z0^{p} + z1^{q} + z2^{r}", weights=[f"1/{p}", f"1/{q}", f"1/{r}"]
@@ -291,11 +294,99 @@ def test_batch_mode_many_jobs_per_worker(tmp_path, capsys):
         job = load_job(write_job(tmp_path, payload, name))
         report = analyze(job.s, job.g, job.weights)
         expected[name] = (report.verdict.kind, _dump(report_to_dict(report)))
+    return expected
+
+
+def test_batch_mode_many_jobs_per_worker(tmp_path, capsys):
+    """Each worker runs a share of more than 4 jobs; rows come back sorted and
+    reports are unchanged."""
+    workers = min(os.cpu_count() or 1, 8)
+    expected = write_bp_jobs(tmp_path, 4 * workers + 3)
     assert len(expected) > 4 * workers
     assert main(["--batch", str(tmp_path)]) == 0
     rows = capsys.readouterr().out.splitlines()
     assert rows == [f"{name}: {verdict}" for name, (verdict, _) in sorted(expected.items())]
     for name, (_, text) in expected.items():
+        assert (tmp_path / name).with_suffix(".report.json").read_text() == text
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="batch workers are forked")
+def test_batch_mode_killed_worker_costs_only_its_own_rows(tmp_path, capsys, monkeypatch):
+    expected = write_bp_jobs(tmp_path, 7)
+    names = sorted(expected)
+    killed = 1
+    run_job = cli._run_batch_job
+
+    def run_or_die(path_str):
+        if Path(path_str).name == names[killed]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_job(path_str)
+
+    monkeypatch.setattr(cli, "_run_batch_job", run_or_die)
+    assert main(["--batch", str(tmp_path)]) == 2
+    # the killed job and the later jobs of its share: jobs[k::workers]
+    workers = min(len(names), os.cpu_count() or 1, 8)
+    lost = {name for i, name in enumerate(names) if i >= killed and i % workers == killed % workers}
+    lost_row = f"error: worker exited (signal {int(signal.SIGKILL)}) before reporting this job"
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: {lost_row if name in lost else expected[name][0]}" for name in names
+    ]
+    for name, (_, text) in expected.items():
+        report = (tmp_path / name).with_suffix(".report.json")
+        if name in lost:
+            assert not report.exists()
+        else:
+            assert report.read_text() == text
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_batch_mode_rows_longer_than_a_pipe_buffer(tmp_path, capsys):
+    # each worker writes more than the 64 KiB a pipe holds before its reader drains it
+    keys = [f"{i}" * 70_000 for i in range(4)]
+    for i, key in enumerate(keys):
+        write_job(tmp_path, {**FERMAT_JOB, "options": {key: 1}}, f"long_{i}.json")
+    write_job(tmp_path, FERMAT_JOB, "good.json")
+    assert main(["--batch", str(tmp_path)]) == 2
+    known = "emit_trace, quadrature_steps, rescale_weights"
+    assert capsys.readouterr().out.splitlines() == ["good.json: OBSTRUCTED"] + [
+        f'long_{i}.json: error: unknown option keys: "{key}"; known: {known}'
+        for i, key in enumerate(keys)
+    ]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="batch workers are forked")
+def test_batch_mode_with_descriptors_above_1023(tmp_path, capsys):
+    # a caller with many open files hands the pipes numbers select() refuses
+    resource = pytest.importorskip("resource")
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+        pytest.skip("the open-file limit is too low")
+    write_job(tmp_path, FERMAT_JOB, "a.json")
+    write_job(tmp_path, LIFTS_JOB, "b.json")
+    held = [os.open(os.devnull, os.O_RDONLY)]
+    try:
+        while held[-1] < 1100:
+            held.append(os.dup(held[0]))
+        assert main(["--batch", str(tmp_path)]) == 0
+    finally:
+        for fd in held:
+            os.close(fd)
+    assert capsys.readouterr().out.splitlines() == ["a.json: OBSTRUCTED", "b.json: LIFTS"]
+
+
+def test_batch_mode_without_fork_runs_in_process(tmp_path, capsys, monkeypatch):
+    expected = write_bp_jobs(tmp_path, 5)
+    (tmp_path / "broken.json").write_text("{oops")
+    assert main(["--batch", str(tmp_path)]) == 2
+    rows = capsys.readouterr().out
+    for name in expected:
+        (tmp_path / name).with_suffix(".report.json").unlink()
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert main(["--batch", str(tmp_path)]) == 2
+    assert capsys.readouterr().out == rows
+    assert "\nbroken.json: error: " in rows
+    for name, (verdict, text) in expected.items():
+        assert f"{name}: {verdict}" in rows.splitlines()
         assert (tmp_path / name).with_suffix(".report.json").read_text() == text
 
 
@@ -312,9 +403,17 @@ NON_STRING_FIELDS = (
     ({"s": 5}, "s must be a string, got 5"),
     ({"g": None}, "g must be a string, got null"),
     ({"g": ["1"]}, 'g must be a string, got ["1"]'),
+    # job values are spelled as JSON, as the user wrote them
+    ({"weights": [True, "1/3", "1/3"]}, "weights[0] must be a string or an integer, got true"),
+    ({"weights": ["1/3", 0.5, "1/3"]}, "weights[1] must be a string or an integer, got 0.5"),
     (
-        {"weights": [True, "1/3", "1/3"]},
-        "bad weights [True, '1/3', '1/3']: cannot read True as a rational weight",
+        {"weights": ["1/3", "1/3", "-1/3"]},
+        'bad weights ["1/3", "1/3", "-1/3"]: weights must be positive rationals, got -1/3',
+    ),
+    ({"options": {"rescale_weights": "false"}}, 'rescale_weights must be true or false, got "false"'),
+    (
+        {"options": {"": 1, "a, b": 2}},
+        'unknown option keys: "", "a, b"; known: emit_trace, quadrature_steps, rescale_weights',
     ),
 )
 

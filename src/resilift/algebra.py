@@ -24,12 +24,13 @@ and so are single terms built elsewhere in the package (`_single_term`).
 The private term kernels `_add_terms`, `_mul_terms`, `_pow_terms`,
 `_shifted` (times a scalar and a monomial) and `_map_terms` (a monomial
 map) are the only exponent arithmetic in the package, apart from division
-and derivatives in this module.  They work on plain {exponent tuple:
-coefficient} dicts; `_terms` reads such a dict off a polynomial and `_wrap`
-makes it one, with `Monomial` keys only at the end.  `Polynomial`'s
-operations, the parser and the forms layer all call them, so one operation
-gives the same terms in the same order wherever it runs.  A `Monomial`
-computes its degree and hash once, when it is built.
+and derivatives in this module.  They work on {exponent tuple: coefficient}
+dicts.  A `Monomial` is a tuple, so a polynomial's `terms` goes into them
+as it is, and hashing and comparing keys run as for plain tuples.  The
+kernels build plain tuples; `_wrap` makes the terms that survive into
+`Monomial` keys.  `Polynomial`'s operations, the parser and the forms
+layer all call them, so one operation gives the same terms in the same
+order wherever it runs.
 
 Division by one polynomial takes terms from a graded-lex max-heap, in the
 same order a scan for the largest term would.  `divides`
@@ -61,7 +62,6 @@ this layer; higher layers carry them as symbolic tags.
 from __future__ import annotations
 
 import heapq
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from operator import add, gt, neg, sub
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -104,63 +104,41 @@ def _divide(a: Scalar, b: Scalar) -> Scalar:
     return q.numerator if q.denominator == 1 else q
 
 
-class Monomial:
+class Monomial(tuple):
     """An exponent vector; variable names live on the owning polynomial.
 
-    Immutable.  The degree and the hash are computed once, when it is built.
+    A tuple of nonnegative ints, so it hashes and compares as the plain
+    tuple of its exponents.
     """
 
-    __slots__ = ("exponents", "degree", "_hash")
+    __slots__ = ()
 
-    def __init__(self, exponents: Sequence[int]):
+    def __new__(cls, exponents: Sequence[int]):
         exps = tuple(exponents)
         for e in exps:
             if not isinstance(e, int) or e < 0:
                 raise AlgebraError(f"exponents must be nonnegative integers: {exps}")
-        _fill_monomial(self, exps)
+        return tuple.__new__(cls, exps)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    @property
+    def exponents(self) -> Tuple[int, ...]:
+        return tuple(self)
 
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is Monomial:
-            return self.exponents == other.exponents
-        return NotImplemented
-
-    def __hash__(self):
-        return self._hash
+    @property
+    def degree(self) -> int:
+        return sum(self)
 
     def __repr__(self):
         return f"Monomial(exponents={self.exponents!r})"
 
-    def __reduce__(self):
-        return Monomial, (self.exponents,)
-
-
-# slot setters that bypass the immutability guard, for construction only
-_set_exponents = Monomial.exponents.__set__
-_set_degree = Monomial.degree.__set__
-_set_hash = Monomial._hash.__set__
-
-
-def _fill_monomial(mono: Monomial, exps: Tuple[int, ...]) -> None:
-    _set_exponents(mono, exps)
-    _set_degree(mono, sum(exps))
-    _set_hash(mono, hash(exps))
-
 
 def _monomial(exps: Tuple[int, ...]) -> Monomial:
     """A Monomial from a tuple already known to hold nonnegative ints."""
-    mono = object.__new__(Monomial)
-    _fill_monomial(mono, exps)
-    return mono
+    return tuple.__new__(Monomial, exps)
 
 
 def _grlex_key(mono: Monomial):
-    return (mono.degree, mono.exponents)
+    return (sum(mono), mono)
 
 
 class Polynomial:
@@ -179,10 +157,10 @@ class Polynomial:
             else terms
         )
         for key, value in items:
-            mono = key if isinstance(key, Monomial) else Monomial(tuple(key))
-            if len(mono.exponents) != len(variables):
+            mono = key if isinstance(key, Monomial) else Monomial(key)
+            if len(mono) != len(variables):
                 raise ArityError(
-                    f"exponent vector {mono.exponents} does not match variables {variables}"
+                    f"exponent vector {tuple(mono)} does not match variables {variables}"
                 )
             coeff = _coerce_coefficient(value)
             if coeff:
@@ -235,7 +213,7 @@ class Polynomial:
     def is_constant(self) -> bool:
         # distinct monomials: at most one term can have degree 0
         terms = self.terms
-        return not terms or (len(terms) == 1 and next(iter(terms)).degree == 0)
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def constant_value(self) -> Scalar:
         if not self.is_constant:
@@ -247,7 +225,7 @@ class Polynomial:
     def total_degree(self) -> int:
         if self.is_zero:
             raise AlgebraError("degree of the zero polynomial is undefined")
-        return max(m.degree for m in self.terms)
+        return max(map(sum, self.terms))
 
     def leading_term(self) -> Tuple[Monomial, Scalar]:
         """Largest term under graded lexicographic order on the declared variables."""
@@ -260,10 +238,10 @@ class Polynomial:
         """Componentwise minimum exponent vector over all terms."""
         if self.is_zero:
             return _monomial((0,) * len(self.variables))
-        return _monomial(tuple(map(min, zip(*(m.exponents for m in self.terms)))))
+        return _monomial(tuple(map(min, zip(*self.terms))))
 
     def uses_variable(self, index: int) -> bool:
-        return any(m.exponents[index] for m in self.terms)
+        return any(m[index] for m in self.terms)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -318,14 +296,14 @@ class Polynomial:
         other = self._coerce_operand(other)
         if other is None:
             return NotImplemented
-        return _wrap(self.variables, _mul_terms(_terms(self), _terms(other)))
+        return _wrap(self.variables, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise AlgebraError("polynomial powers take nonnegative integer exponents")
-        return _wrap(self.variables, _pow_terms(_terms(self), exponent, len(self.variables)))
+        return _wrap(self.variables, _pow_terms(self.terms, exponent, len(self.variables)))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -344,8 +322,7 @@ class Polynomial:
             raise ArityError(f"variable index {index} out of range for {self.variables}")
         # lowering one exponent is injective on the terms it keeps: no collisions
         out: Dict[Monomial, Scalar] = {}
-        for mono, coeff in self.terms.items():
-            exps = mono.exponents
+        for exps, coeff in self.terms.items():
             e = exps[index]
             if e:
                 out[_monomial(exps[:index] + (e - 1,) + exps[index + 1 :])] = coeff * e
@@ -367,13 +344,13 @@ class Polynomial:
                     raise ArityError("substitution images use different variable tuples")
         if all(len(im.terms) == 1 for im in images):
             rows = _monomial_rows(images)
-            return _wrap(target, _map_terms(_terms(self), rows, len(target)))
+            return _wrap(target, _map_terms(self.terms, rows, len(target)))
         acc = Polynomial.zero(target)
         # cache of incremental powers, one list per variable
         powers = [[Polynomial.one(target), im] for im in images]
         for mono, coeff in self.terms.items():
             term = Polynomial.constant(target, coeff)
-            for i, e in enumerate(mono.exponents):
+            for i, e in enumerate(mono):
                 if e == 0:
                     continue
                 cache = powers[i]
@@ -391,7 +368,7 @@ class Polynomial:
         total = None
         for mono, coeff in self.terms.items():
             prod = coeff
-            for v, e in zip(values, mono.exponents):
+            for v, e in zip(values, mono):
                 if e:
                     prod = prod * v**e
             total = prod if total is None else total + prod
@@ -409,7 +386,7 @@ class Polynomial:
         pieces = []
         for pos, (mono, coeff) in enumerate(ordered):
             factors = []
-            for name, e in zip(self.variables, mono.exponents):
+            for name, e in zip(self.variables, mono):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -482,19 +459,13 @@ def _accumulate(out: dict, key, value: Scalar) -> None:
 # -- term kernels on {exponent tuple: nonzero coefficient} dicts ------------
 
 
-def _terms(p: Polynomial) -> Dict[Tuple[int, ...], Scalar]:
-    return {m.exponents: c for m, c in p.terms.items()}
-
-
 def _wrap(variables: Tuple[str, ...], terms: Dict[Tuple[int, ...], Scalar]) -> Polynomial:
     """A term dict over checked variables as its Polynomial, without a check."""
     return _polynomial(variables, {_monomial(e): c for e, c in terms.items()})
 
 
 def _add_terms(acc: dict, terms: Mapping, negate: bool = False) -> dict:
-    """acc += terms, or acc -= terms, in place and in the order of terms.
-
-    Only keys are compared, so Monomial-keyed dicts add the same way."""
+    """acc += terms, or acc -= terms, in place and in the order of terms."""
     for key, coeff in terms.items():
         _accumulate(acc, key, -coeff if negate else coeff)
     return acc
@@ -549,7 +520,7 @@ def _monomial_rows(images: Sequence[Polynomial]):
     rows = []
     for im in images:
         ((mono, c),) = im.terms.items()
-        row = tuple((j, m) for j, m in enumerate(mono.exponents) if m)
+        row = tuple((j, m) for j, m in enumerate(mono) if m)
         rows.append((row, None if c == 1 else c))
     return rows
 
@@ -585,18 +556,17 @@ def divide_with_remainder(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Pol
     if d.is_zero:
         raise AlgebraError("division by the zero polynomial")
     p._check_same_variables(d)
-    lead_mono, lead_coeff = d.leading_term()
-    lead = lead_mono.exponents
-    rest = [(m.exponents, c) for m, c in d.terms.items() if m is not lead_mono]
+    lead, lead_coeff = d.leading_term()
+    rest = [(m, c) for m, c in d.terms.items() if m is not lead]
     # work maps exponent tuples to coefficients; the heap holds (-degree,
     # negated exponents, exponents) for every key inserted into work, so its
     # top is the graded-lex largest term.  Every term a step adds is below the
     # one it removes, so an entry whose key has left work is stale for good.
     work: Dict[Tuple[int, ...], Scalar] = {}
     heap = []
-    for mono, coeff in p.terms.items():
-        work[mono.exponents] = coeff
-        heap.append((-mono.degree, tuple(map(neg, mono.exponents)), mono.exponents))
+    for exps, coeff in p.terms.items():
+        work[exps] = coeff
+        heap.append((-sum(exps), tuple(map(neg, exps)), exps))
     heapq.heapify(heap)
     quot: Dict[Monomial, Scalar] = {}
     rem: Dict[Monomial, Scalar] = {}
@@ -628,8 +598,8 @@ def divide_with_remainder(p: Polynomial, d: Polynomial) -> Tuple[Polynomial, Pol
 
 def _exponent_ranges(p: Polynomial) -> Tuple[int, ...]:
     """max - min of each exponent and of the total degree over the terms of p."""
-    columns = list(zip(*(m.exponents for m in p.terms)))
-    columns.append([m.degree for m in p.terms])
+    columns = list(zip(*p.terms))
+    columns.append(list(map(sum, p.terms)))
     return tuple(max(col) - min(col) for col in columns)
 
 
@@ -653,7 +623,7 @@ def _outside_hull(d: Polynomial, p: Polynomial) -> bool:
     if len(d.terms) < 2:
         return False
     width = len(p.variables)
-    base, *rest = (m.exponents for m in p.terms)
+    base, *rest = p.terms
     basis = []
     for exps in rest:
         row = _reduce(list(map(sub, exps, base)), basis)
@@ -662,7 +632,7 @@ def _outside_hull(d: Polynomial, p: Polynomial) -> bool:
             basis.append((pivot, row))
             if len(basis) == width:
                 return False
-    base, *rest = (m.exponents for m in d.terms)
+    base, *rest = d.terms
     return any(any(_reduce(list(map(sub, exps, base)), basis)) for exps in rest)
 
 
@@ -695,13 +665,12 @@ def divides(d: Polynomial, p: Polynomial) -> Tuple[bool, Polynomial]:
 
 def _divides_by_term(d: Polynomial, p: Polynomial) -> Tuple[bool, Polynomial]:
     """divides(d, p) for a single-term d, by comparing exponents."""
-    ((mono, c),) = d.terms.items()
-    shift = mono.exponents
-    if p.terms and any(map(gt, shift, p.monomial_content().exponents)):
+    ((shift, c),) = d.terms.items()
+    if p.terms and any(map(gt, shift, p.monomial_content())):
         return False, None
     quot = {}
     for m in sorted(p.terms, key=_grlex_key, reverse=True):
-        quot[_monomial(tuple(map(sub, m.exponents, shift)))] = _divide(p.terms[m], c)
+        quot[_monomial(tuple(map(sub, m, shift)))] = _divide(p.terms[m], c)
     return True, _polynomial(p.variables, quot)
 
 
@@ -721,7 +690,7 @@ def poly_with_variables(p: Polynomial, variables: Sequence[str]) -> Polynomial:
     out = {}
     for mono, coeff in p.terms.items():
         exps = [0] * len(variables)
-        for name, e in zip(p.variables, mono.exponents):
+        for name, e in zip(p.variables, mono):
             if e:
                 exps[positions[name]] = e
         out[tuple(exps)] = coeff
@@ -764,13 +733,11 @@ class RationalFunction:
         variables = num.variables
         if num.is_zero:
             return num, _single_term(variables, (0,) * len(variables))
-        ncont = num.monomial_content().exponents
-        dcont = den.monomial_content().exponents
-        common = tuple(map(min, ncont, dcont))
+        common = tuple(map(min, num.monomial_content(), den.monomial_content()))
         if any(common):
             shift = tuple(map(neg, common))
-            num = _wrap(variables, _shifted(_terms(num), shift))
-            den = _wrap(variables, _shifted(_terms(den), shift))
+            num = _wrap(variables, _shifted(num.terms, shift))
+            den = _wrap(variables, _shifted(den.terms, shift))
         # the probe rule of the module docstring: with the content shifted
         # out, no other probe can succeed, and a non-constant den never
         # divides a constant num
@@ -932,9 +899,3 @@ class RationalFunction:
 def _divided(p: Polynomial, value: Scalar) -> Polynomial:
     """p / value, coefficient by coefficient, for a nonzero scalar value."""
     return _polynomial(p.variables, {m: _divide(c, value) for m, c in p.terms.items()})
-
-
-def rational_with_variables(rf: RationalFunction, variables: Sequence[str]) -> RationalFunction:
-    return RationalFunction(
-        poly_with_variables(rf.num, variables), poly_with_variables(rf.den, variables)
-    )

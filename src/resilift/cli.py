@@ -317,6 +317,8 @@ def _find_seed(curve: Polynomial) -> Tuple[float, float]:
 def cmd_integrate(
     job: JobSpec, steps: Optional[int] = None, out: Optional[str] = None
 ) -> int:
+    if steps is not None and steps < 1:
+        raise JobError("--steps must be a positive integer")
     if len(job.variables) != 3:
         raise JobError(
             "integration traces a plane chart curve; the job needs exactly "

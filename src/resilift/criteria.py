@@ -199,7 +199,7 @@ def pullback_singularity_probe(s: Polynomial, w: WeightSystem) -> ProbeReport:
     for i, name in enumerate(s.variables):
         derivative = image.partial_derivative(i)
         pure = any(
-            all(e == 0 for j, e in enumerate(mono.exponents) if j != i)
+            all(e == 0 for j, e in enumerate(mono) if j != i)
             for mono in derivative.terms
         )
         if not pure:

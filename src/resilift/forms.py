@@ -51,12 +51,10 @@ from .algebra import (
     _monomial_rows,
     _shifted,
     _single_term,
-    _terms,
     _wrap,
     divide_with_remainder,
     divides,
     poly_with_variables,
-    rational_with_variables,
 )
 
 Coefficient = Union[int, Fraction, Polynomial, RationalFunction]
@@ -76,22 +74,6 @@ class SplitError(FormError):
 
 class PoleError(FormError):
     """A residue representative has a pole on the comparison hypersurface."""
-
-
-def _sort_signed(indices: Sequence[int]):
-    """Sort an index tuple, tracking the permutation sign; 0 on repeats."""
-    order = list(indices)
-    sign = 1
-    for i in range(1, len(order)):
-        j = i
-        while j > 0 and order[j - 1] > order[j]:
-            order[j - 1], order[j] = order[j], order[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(order)):
-        if order[i - 1] == order[i]:
-            return 0, None
-    return sign, tuple(order)
 
 
 def _merge_signed(left: Tuple[int, ...], right: Tuple[int, ...]):
@@ -442,8 +424,8 @@ def _pullback_monomial(
     width = len(target)
     pieces = []
     for key, coeff in a.components.items():
-        num = _map_terms(_terms(coeff.num), rows, width)
-        den = _map_terms(_terms(coeff.den), rows, width)
+        num = _map_terms(coeff.num.terms, rows, width)
+        den = _map_terms(coeff.den.terms, rows, width)
         if not den:
             raise ZeroDenominatorError("substitution sends the denominator to zero")
         den = _wrap(target, den)
@@ -504,15 +486,15 @@ def _strip_variable_power(coeff: RationalFunction, index: int):
     Returns (e, rest) or raises SplitError when no pure power factors out.
     """
     num, den = coeff.num, coeff.den
-    cn = num.monomial_content().exponents[index]
-    cd = den.monomial_content().exponents[index]
+    cn = num.monomial_content()[index]
+    cd = den.monomial_content()[index]
     shift = [0] * len(num.variables)
     if cn:
         shift[index] = -cn
-        num = _wrap(num.variables, _shifted(_terms(num), shift))
+        num = _wrap(num.variables, _shifted(num.terms, shift))
     if cd:
         shift[index] = -cd
-        den = _wrap(den.variables, _shifted(_terms(den), shift))
+        den = _wrap(den.variables, _shifted(den.terms, shift))
     if num.uses_variable(index) or den.uses_variable(index):
         raise SplitError(
             "coefficient is not a pure power of the chart variable times a "
@@ -583,32 +565,6 @@ def _recombines(
                 den = den * power
             rebuilt.add(merged, num if sign > 0 else -num, den)
     return rebuilt == _Cleared().add_form(a)
-
-
-def form_with_variables(
-    a: DifferentialForm, variables: Sequence[str]
-) -> DifferentialForm:
-    """Re-express a form over another variable tuple, by variable name.
-
-    Wedge indices are remapped; dropping a variable is only legal when
-    neither the wedge basis nor any coefficient uses it.
-    """
-    variables = tuple(variables)
-    positions = {name: i for i, name in enumerate(variables)}
-    out: Dict[Tuple[int, ...], RationalFunction] = {}
-    for key, coeff in a.components.items():
-        try:
-            mapped = tuple(positions[a.variables[i]] for i in key)
-        except KeyError as exc:
-            raise ArityError(
-                f"wedge variable {exc.args[0]!r} absent from {variables}"
-            ) from None
-        sign, sorted_key = _sort_signed(mapped)
-        new_coeff = rational_with_variables(coeff, variables)
-        if sign < 0:
-            new_coeff = -new_coeff
-        out[sorted_key] = new_coeff
-    return DifferentialForm(variables, out)
 
 
 def _require_comparable(a: DifferentialForm, b: DifferentialForm, f: Polynomial):

@@ -76,7 +76,7 @@ def _float_terms(poly):
     index, exponent), ...)), zero exponents left out; the zero polynomial
     is one zero term."""
     terms = [
-        (float(coeff), tuple((i, e) for i, e in enumerate(mono.exponents) if e))
+        (float(coeff), tuple((i, e) for i, e in enumerate(mono) if e))
         for mono, coeff in poly.terms.items()
     ]
     return terms or [(0.0, ())]

@@ -286,7 +286,7 @@ def _blowup(
         for part, label in ((coeff.num, "numerator"), (coeff.den, "denominator")):
             if part.is_constant:
                 continue
-            terms_degrees = {m.degree for m in part.terms}
+            terms_degrees = set(map(sum, part.terms))
             if len(terms_degrees) > 1:
                 raise ImpureNumeratorError(
                     f"coefficient {label} mixes degrees {sorted(terms_degrees)}; "

@@ -136,7 +136,7 @@ def _check_arity(p: Polynomial, w: WeightSystem):
 
 def _scaled_degree(mono, exponents: Tuple[int, ...]) -> int:
     """cover_order times the weighted degree of a monomial, as an int."""
-    return sum(map(mul, mono.exponents, exponents))
+    return sum(map(mul, mono, exponents))
 
 
 def valuation_poly(p: Polynomial, w: WeightSystem) -> Fraction:

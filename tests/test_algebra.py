@@ -20,7 +20,6 @@ from resilift.algebra import (
     _outside_hull,
     _polynomial,
     _shifted,
-    _terms,
     _wrap,
     divide_with_remainder,
     divides,
@@ -391,6 +390,57 @@ def test_monomial_ordering_and_content():
     assert Monomial((0, 0, 0)).degree == 0
 
 
+def _assert_monomial_keys(*polys):
+    for p in polys:
+        assert p.terms, p
+        for key in p.terms:
+            assert key.__class__ is Monomial, (p, key)
+            assert key.exponents == tuple(key)
+
+
+def test_every_term_key_is_a_monomial():
+    """Keys stay Monomials on every path, so readers outside the package
+    can keep reading `.exponents` off them."""
+    from resilift.forms import basis_form, pullback, split_du0
+    from resilift.parser import parse_polynomial
+    from resilift.weights import WeightSystem, quasi_decompose
+
+    for e in ((), (0, 0), (1, 2, 3)):
+        assert Monomial(e) == e
+        assert hash(Monomial(e)) == hash(e)
+    for bad in ((1, -1), (1.0,)):
+        with pytest.raises(AlgebraError):
+            Monomial(bad)
+
+    x, y, z = Polynomial.generators(XYZ)
+    p = parse_polynomial("x^2*y - 3*z + 1/2", XYZ)
+    q = x + 2 * y * z
+    _assert_monomial_keys(p, p + q, p - q, -p, p * 3, p * q, q**3)
+    _assert_monomial_keys(p.partial_derivative("x"))
+    _assert_monomial_keys(p.substitute([x * y, 2 * z, y**2]), p.substitute([q, x, y + z]))
+    quot, rem = divide_with_remainder(p, x * y + z)
+    _assert_monomial_keys(quot, rem)
+    ok_term, by_term = divides(3 * x * y, x**2 * y**2 + x * y * z)
+    ok_poly, by_poly = divides(q, q * (x - y))
+    assert ok_term and ok_poly
+    _assert_monomial_keys(by_term, by_poly)
+    shifted = RationalFunction(x**2 * y + x * z, x * y + x * z**2)
+    assert shifted.num == x * y + z
+    _assert_monomial_keys(shifted.num, shifted.den)
+    parts = quasi_decompose(x**2 + y**4 + z, WeightSystem(("1/2", "1/4", "1/3")))
+    _assert_monomial_keys(*parts.components.values())
+
+    u = ("u0", "u1", "u2")
+    u0, u1, u2 = Polynomial.generators(u)
+    split = split_du0(basis_form(u, (0, 1), u0**3 * u1 + u0**3 * u1 * u2), 0)
+    assert split.exponent == 3
+    pulled = pullback(basis_form(XYZ, (0, 1), p), [u0 * u1, 2 * u2, u1**2])
+    for form in (split.du0_factor, pulled):
+        assert not form.is_zero
+        for coeff in form.components.values():
+            _assert_monomial_keys(coeff.num, coeff.den)
+
+
 def test_rational_function_normalization():
     x, y, z = Polynomial.generators(XYZ)
     # monomial content cancels
@@ -744,7 +794,7 @@ def test_term_kernels_match_the_arithmetic_they_replaced():
         # a shift down to the monomial content, and the scaled shift of a pullback
         content = p.monomial_content().exponents
         common = tuple(rng.randint(0, c) for c in content)
-        shifted = _wrap(variables, _shifted(_terms(p), tuple(map(neg, common))))
+        shifted = _wrap(variables, _shifted(p.terms, tuple(map(neg, common))))
         assert _seq(shifted.terms) == _seq(_ref_shift_down(p.terms, common)), (p, common)
         shift = [rng.randint(-c, 2) for c in content]
         scale = rng.choice(_KERNEL_COEFFICIENTS)
@@ -752,6 +802,6 @@ def test_term_kernels_match_the_arithmetic_they_replaced():
             variables,
             {tuple(map(add, m.exponents, shift)): c * scale for m, c in p.terms.items()},
         )
-        scaled = _wrap(variables, _shifted(_terms(p), shift, scale))
+        scaled = _wrap(variables, _shifted(p.terms, shift, scale))
         assert _seq(scaled.terms) == _seq(checked.terms), (p, shift, scale)
     assert all(count >= 20 for count in seen.values()), seen

@@ -206,6 +206,18 @@ def test_integrate_steps_and_trace(tmp_path, capsys):
     assert len(lines) == report["samples"] + 1
 
 
+def test_integrate_refuses_nonpositive_steps_before_analyzing(tmp_path, capsys, monkeypatch):
+    job = write_job(tmp_path, FERMAT_JOB)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze ran for a step budget it must refuse")
+
+    monkeypatch.setattr(cli, "analyze", refuse)
+    for steps in ("0", "-3"):
+        assert main(["integrate", job, "--steps", steps]) == 2
+        assert capsys.readouterr().err == "error: --steps must be a positive integer\n"
+
+
 def test_integrate_matches_exact_evaluation(tmp_path, capsys, monkeypatch):
     """Compiled float evaluators leave every integrate output byte-identical."""
     hesse = dict(FERMAT_JOB, s="z0^3 + z1^3 + z2^3 - z0*z1*z2")

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from resilift.algebra import (
-    ArityError,
     Polynomial,
     RationalFunction,
     ZeroDenominatorError,
@@ -25,7 +24,6 @@ from resilift.forms import (
     differential,
     equal_mod_hypersurface,
     exterior_derivative,
-    form_with_variables,
     pullback,
     scalar_mod_hypersurface,
     split_du0,
@@ -390,17 +388,6 @@ def test_scalar_mod_hypersurface_none_when_unrelated():
     a = differential(UV, "u1")
     b = differential(UV, "u2") * u1
     assert scalar_mod_hypersurface(a, b, relation) is None
-
-
-def test_with_variables_remaps_by_name():
-    x, y, z = Polynomial.generators(XYZ)
-    form = basis_form(XYZ, (0, 2), x * z)
-    wide = form_with_variables(form, ("w", "x", "y", "z"))
-    assert wide.variables == ("w", "x", "y", "z")
-    back = form_with_variables(wide, XYZ)
-    assert back == form
-    with pytest.raises(ArityError):
-        form_with_variables(form, ("x", "y"))
 
 
 def test_str_round_trip_shapes():

@@ -171,6 +171,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AlgebraError("Polynomial instances are immutable")
 
+    def __reduce__(self):
+        # unpickling would restore the slots through the refusing __setattr__
+        return self.__class__, (self.variables, self.terms)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
@@ -727,6 +731,10 @@ class RationalFunction:
 
     def __setattr__(self, name, value):
         raise AlgebraError("RationalFunction instances are immutable")
+
+    def __reduce__(self):
+        # a normalized pair normalizes to itself
+        return self.__class__, (self.num, self.den)
 
     @staticmethod
     def _normalize(num: Polynomial, den: Polynomial):

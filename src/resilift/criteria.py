@@ -6,7 +6,9 @@ nonnegative integer combination of the weights equals 1 - kappa; this
 module decides that by dynamic programming on the cleared-denominator
 integers.  The same quantity indexes the nonpositive part of the
 singularity spectrum, {kappa + sum k_i a_i - 1 <= 0}, which is enumerated
-exactly.  The criterion holds precisely when 0 is absent from that list.
+exactly.  The criterion holds precisely when 0 is absent from that list;
+when it fails, 0 is the last value, and the last entry's k is the witness
+lift_criterion reconstructs (both are the lexicographically largest k).
 The spectrum runs on integers over the cover order l: with e_i = l a_i an
 entry is the integer v = sum(e) - l + sum k_i e_i <= 0, and becomes the
 Fraction v / l only once it is sorted.  ResidueReport.verify checks the

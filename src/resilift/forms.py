@@ -130,6 +130,9 @@ class DifferentialForm:
     def __setattr__(self, name, value):
         raise FormError("DifferentialForm instances are immutable")
 
+    def __reduce__(self):
+        return self.__class__, (self.variables, self.components)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod

@@ -16,8 +16,11 @@ The cover, the blow-up chart and the cover followed by the evaluation at
 z_0 = 1 are all monomial maps, so every pullback and substitution here runs
 by exponent arithmetic (see forms.pullback); its cost follows the term count,
 not l.  analyze makes one pass: it checks its inputs once, decomposes the
-numerator once, builds the cover images once, and computes each stage once.
-The public stage functions keep their own input checks for direct callers.
+numerator once, reads the criterion off the nonpositive spectrum, and reaches
+the blow-up chart with one pullback through the composite monomial map
+z_0 -> u_0^(e_0), z_i -> u_0^(e_i) u_i^(e_i), with e_i = l*a_i.  The public
+stage functions (cover_pullback_form, blowup_pullback, second_residue) keep
+the staged route and their own input checks for direct callers.
 
 Everything here is exact.  The scalar prefactor 1/(2*pi*i) that
 conventionally normalizes residues is carried as a symbolic tag on the
@@ -29,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .algebra import (
     Polynomial,
@@ -43,6 +46,7 @@ from .criteria import (
     LIFTS,
     OBSTRUCTED,
     CriterionDecision,
+    CriterionWitness,
     LiftVerdict,
     RemovablePoleError,
     SpectrumEntry,
@@ -243,13 +247,7 @@ def cover_pullback_form(
         )
     require_normalized(s, w)
     _require_pole(s, g)
-    return _cover_pullback(g, s, _cover_images(s.variables, w))
-
-
-def _cover_pullback(
-    g: Polynomial, s: Polynomial, images: Sequence[Polynomial]
-) -> DifferentialForm:
-    """cover_pullback_form through the cover images already built."""
+    images = _cover_images(s.variables, w)
     return pullback(volume_form(s.variables, RationalFunction(g, s)), images)
 
 
@@ -316,6 +314,23 @@ def _blowup(
                 f"blow-up exponent {split.exponent} contradicts degree count {expected}"
             )
     return blown, split.exponent, split
+
+
+def _chart_pullback(g: Polynomial, s: Polynomial, w: WeightSystem) -> DifferentialForm:
+    r"""(g/s) dz0 /\ ... /\ dzn pulled back to the 0-th blow-up chart of the cover.
+
+    The cover z_i -> z_i^(e_i) followed by the chart z_0 = u_0, z_i = u_0 u_i
+    is the single monomial map z_0 -> u_0^(e_0), z_i -> u_0^(e_i) u_i^(e_i),
+    with Jacobian C * u_0^(sum e - 1) * prod_{i>=1} u_i^(e_i - 1); one
+    pullback through it gives _blowup(cover_pullback_form(g, s, w), w)'s form.
+    """
+    n = len(s.variables)
+    chart_vars = _chart_names(n)
+    images = [
+        _single_term(chart_vars, [e if j in (0, i) else 0 for j in range(n)])
+        for i, e in enumerate(w.cover_exponents)
+    ]
+    return pullback(volume_form(s.variables, RationalFunction(g, s)), images)
 
 
 def blowup_exponent_formula(alpha: Fraction, w: WeightSystem) -> int:
@@ -402,6 +417,27 @@ def _second_residue(
     )
 
 
+def _criterion_from_spectrum(
+    spectrum: Tuple[SpectrumEntry, ...]
+) -> CriterionDecision:
+    """lift_criterion's decision and witness, read off spectrum_nonpositive.
+
+    The criterion fails exactly when 0 is a spectrum value.  Values are at
+    most 0 and the entries are sorted by (value, k), so 0 can only be the
+    last value, and then the last entry's k is the lexicographically largest
+    k >= 0 with sum k_i a_i = 1 - kappa.  That is also lift_criterion's
+    witness.  Its reconstruction from the target T takes, at each remainder
+    t, the smallest coin index i with t - c_i reachable.  If t - c_i is
+    unreachable, so is t - c_j - c_i for every coin j, so a refused coin
+    stays refused: the walk uses coin 0 as often as any solution can, then
+    coin 1 as often as the rest allows, and so on.  For kappa = 1 both give
+    k = 0, and for kappa > 1 the spectrum is empty and the criterion holds.
+    """
+    if spectrum and spectrum[-1].value == 0:
+        return CriterionDecision(False, CriterionWitness(spectrum[-1].k, Fraction(1)))
+    return CriterionDecision(True, None)
+
+
 @dataclass(frozen=True)
 class ResidueReport:
     """Aggregate of every symbolic object the pipeline produced for one point."""
@@ -412,7 +448,6 @@ class ResidueReport:
     criterion: CriterionDecision
     spectrum: Tuple[SpectrumEntry, ...]
     leray: ChartForm
-    cover_form: DifferentialForm
     blowup_form: Optional[DifferentialForm]
     blowup_exponent: Optional[int]
     blowup_split: Optional[SplitResult]
@@ -457,6 +492,21 @@ class ResidueReport:
             value = entry.value
             if v > 0 or value.numerator * l != v * value.denominator:
                 raise ResidueError("spectrum entry does not recompute")
+        # the criterion is the spectrum's zero test, and the verdict follows
+        # from the criterion and the component
+        holds = self.criterion.holds
+        if self.criterion != _criterion_from_spectrum(self.spectrum):
+            raise ResidueError("criterion disagrees with the spectrum")
+        if holds and self.second_residue is not None:
+            raise ResidueError("a class that lifts carries a second residue")
+        expected = (
+            LIFTS if holds else OBSTRUCTED if self.obstruction_nonzero else INCONCLUSIVE
+        )
+        if self.verdict.kind != expected:
+            raise ResidueError(
+                f"verdict {self.verdict.kind} does not follow from the criterion "
+                f"and the obstruction component (expected {expected})"
+            )
         if self.blowup_split is not None and self.blowup_form is not None:
             if not _recombines(self.blowup_split, self.blowup_form, 0):
                 raise ResidueError("blow-up split does not recombine")
@@ -493,6 +543,11 @@ def analyze(
     than 1.  A numerator mixing weights is decomposed; the single component
     of weight 1 - kappa drives the blow-up and obstruction stages, and the
     remaining components are reported as spectators in the warnings.
+
+    The criterion is read off the nonpositive spectrum, and the blow-up form
+    comes from one pullback of (g_a/s) dz through the composite of the cover
+    and the chart (g_a is g when g is pure, else its weight-(1 - kappa)
+    component); both agree with the staged functions by construction.
     """
     g._check_same_variables(s)
     warnings = []
@@ -509,19 +564,17 @@ def analyze(
     if not ok:
         require_normalized(s, w)
     _require_pole(s, g)
-    criterion = lift_criterion(w)
     spectrum = spectrum_nonpositive(w)
+    criterion = _criterion_from_spectrum(spectrum)
     leray = _leray_residue(g, s, *_first_usable_chart(s))
-    images = _cover_images(s.variables, w)
-    cover_form = _cover_pullback(g, s, images)
 
     # g is nonzero, since s does not divide it
     alpha = 1 - w.kappa
     components = quasi_decompose(g, w).components
     component = components.get(alpha)
-    if len(components) == 1:  # pure: the cover form itself is blown up
+    if len(components) == 1:  # pure: g itself is blown up
         (g_weight,) = components
-        blow_source = cover_form
+        blow_source = g
     elif component is not None:
         listed = ", ".join(str(x) for x in sorted(components) if x != alpha)
         warnings.append(
@@ -529,7 +582,7 @@ def analyze(
             f"the blow-up and obstruction stages, spectator weights: {listed}"
         )
         g_weight = alpha
-        blow_source = _cover_pullback(component, s, images)
+        blow_source = component
     else:
         blow_source = None
         warnings.append(
@@ -538,7 +591,9 @@ def analyze(
         )
 
     if blow_source is not None:
-        blowup_form, exponent, split = _blowup(blow_source, w)
+        blowup_form = _chart_pullback(blow_source, s, w)
+        split = split_du0(blowup_form, 0)
+        exponent = split.exponent
         if exponent is not None and exponent != blowup_exponent_formula(g_weight, w):
             raise ResidueError("blow-up exponent disagrees with the weight formula")
     else:
@@ -556,7 +611,6 @@ def analyze(
         criterion=criterion,
         spectrum=spectrum,
         leray=leray,
-        cover_form=cover_form,
         blowup_form=blowup_form,
         blowup_exponent=exponent,
         blowup_split=split,

@@ -198,7 +198,8 @@ def test_criterion_6_cover_valuation_and_blowup_exponent():
 
 def test_criterion_7_exhaustive_criterion_sweep():
     """Every weight multiset with up to 4 entries and denominators <= 12:
-    the decision agrees with brute force and with the spectrum zero test."""
+    the decision agrees with brute force and with the spectrum zero test, and
+    a failing decision's witness is the last spectrum entry's k."""
     with verdict(
         7, "exhaustive sweep (denominators <= 12, n <= 3): DP = brute = spectrum"
     ):
@@ -227,6 +228,7 @@ def test_criterion_7_exhaustive_criterion_sweep():
                     )
                 entries = spectrum_nonpositive(w)
                 assert decision.holds == all(e.value != 0 for e in entries)
+                assert decision.holds or decision.witness.k == entries[-1].k
                 checked += 1
         assert checked == 230299
 

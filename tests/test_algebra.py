@@ -1,6 +1,7 @@
 """Exact polynomial and rational function arithmetic."""
 
 import itertools
+import pickle
 import random
 from fractions import Fraction
 from operator import add, mul, neg, sub
@@ -458,6 +459,27 @@ def test_rational_function_normalization():
     # leading coefficient of the denominator is scaled to 1
     rf = RationalFunction(x, y * 2 + x * 4)
     assert rf.den.leading_term()[1] == 1
+
+
+def test_polynomial_and_rational_function_pickle_through_the_constructor():
+    x, y, z = Polynomial.generators(XYZ)
+    # terms out of graded-lex order, with int and Fraction coefficients
+    p = Polynomial(XYZ, {(0, 0, 1): F(1, 3), (2, 0, 0): -2, (0, 1, 0): 5})
+    rf = RationalFunction(x * 3 + F(1, 2), y**2 + z * 4)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        q = pickle.loads(pickle.dumps(p, protocol))
+        assert q == p and str(q) == str(p)
+        assert list(q.terms.items()) == list(p.terms.items())
+        assert [type(c) for c in q.terms.values()] == [F, int, int]
+        assert all(type(m) is Monomial for m in q.terms)
+        r = pickle.loads(pickle.dumps(rf, protocol))
+        assert (r.num, r.den) == (rf.num, rf.den) and str(r) == str(rf)
+        assert list(r.num.terms.items()) == list(rf.num.terms.items())
+        assert [type(c) for c in r.num.terms.values()] == [
+            type(c) for c in rf.num.terms.values()
+        ]
+        with pytest.raises(AlgebraError, match="immutable"):
+            q.terms = {}
 
 
 def test_rational_function_zero_denominator():

@@ -1,6 +1,7 @@
 """The lift criterion, the nonpositive spectrum, the cover image, and the
 verdict analyze assigns."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from resilift.criteria import (
     pullback_singularity_probe,
     spectrum_nonpositive,
 )
-from resilift.residue import analyze
+from resilift.residue import _criterion_from_spectrum, analyze
 from resilift.weights import WeightSystem
 
 F = Fraction
@@ -63,6 +64,27 @@ def test_criterion_below_one_unreachable():
     entries = spectrum_nonpositive(w)
     assert entries == tuple(e for e in entries if e.value != 0)
     assert [e.value for e in entries] == [F(-1, 12)]
+
+
+def test_criterion_read_off_the_spectrum_matches_the_dp():
+    """analyze's criterion, read off the last spectrum entry, gives the DP's
+    decision and witness on unsorted systems, kappa above, at and below 1."""
+    rng = random.Random(23)
+    systems = [
+        [F(rng.randint(1, 4), rng.randint(2, 30)) for _ in range(rng.randint(1, 5))]
+        for _ in range(2000)
+    ]
+    for triple in ((43, 47, 59), (11, 13, 14), (23, 29, 31)):
+        systems.extend(itertools.permutations(F(1, q) for q in triple))
+    systems += [[F(1, 3)] * 3, [F(1, 2), F(1, 4), F(1, 4)], [F(1, 2)] * 3]
+    seen = set()
+    for weights in systems:
+        w = WeightSystem(weights)
+        decision = lift_criterion(w)
+        assert _criterion_from_spectrum(spectrum_nonpositive(w)) == decision, weights
+        side = "below" if w.kappa < 1 else "at" if w.kappa == 1 else "above"
+        seen.add((side, decision.holds))
+    assert seen == {("below", True), ("below", False), ("at", False), ("above", True)}
 
 
 def test_spectrum_matches_criterion_randomly():

@@ -1,6 +1,7 @@
 """Exterior algebra: wedge, derivative, pullback, splitting, comparison
 modulo a hypersurface."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -401,6 +402,23 @@ def test_str_round_trip_shapes():
     mixed = scalar + vol
     assert str(mixed) == "(x*y) + (x+1)*(dx /\\ dy /\\ dz)"
     assert str(DifferentialForm.zero(XYZ)) == "0"
+
+
+def test_form_pickles_through_the_constructor():
+    x, y, z = Polynomial.generators(XYZ)
+    a = DifferentialForm(
+        XYZ,
+        {
+            (1, 2): RationalFunction(x * F(2, 3), y + z),
+            (0,): x**2 - 1,
+            (): F(1, 2),
+        },
+    )
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        b = pickle.loads(pickle.dumps(a, protocol))
+        assert b == a and str(b) == str(a)
+        assert list(b.components) == list(a.components)
+        assert b.variables == a.variables
 
 
 def test_form_scalar_multiplication():

@@ -3,11 +3,12 @@ split, second residue, and the aggregate report."""
 
 import dataclasses
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from resilift import algebra, forms, residue
+from resilift import algebra, cli, forms, residue
 from resilift.algebra import Polynomial, RationalFunction
 from resilift.criteria import (
     INCONCLUSIVE,
@@ -15,6 +16,7 @@ from resilift.criteria import (
     OBSTRUCTED,
     CriterionDecision,
     CriterionWitness,
+    LiftVerdict,
     RemovablePoleError,
     SpectrumEntry,
 )
@@ -46,6 +48,7 @@ from resilift.weights import (
     UnnormalizedEquationError,
     WeightError,
     WeightSystem,
+    quasi_decompose,
     rescaled_weights,
 )
 
@@ -472,6 +475,8 @@ def _brute_verdict(g, w):
 def test_analyze_verdict_matches_lift_verdict(fermat, wf):
     z0, z1, z2 = Polynomial.generators(Z)
     bp = WeightSystem(("1/3", "1/4", "1/6"))  # witness k = (0, 1, 0)
+    x0, x1 = Polynomial.generators(Z[:2])
+    y = Polynomial.generators(("y0", "y1", "y2", "y3"))
     cases = [
         (fermat, Polynomial.one(Z), wf),
         (fermat, z0, wf),
@@ -480,6 +485,29 @@ def test_analyze_verdict_matches_lift_verdict(fermat, wf):
         (z0**3 + z1**3 + z2**4, z0, WeightSystem(("1/3", "1/3", "1/4"))),
         (z0**3 + z1**4 + z2**6, z2**3, bp),
         (z0**3 + z1**4 + z2**6, z1 + z2**3, bp),
+        # a mixed numerator whose weight-(1 - kappa) component has two terms
+        (
+            z0**6 + z1**6 + z2**3,
+            z0 * z1 + z2 * 3 + z0 + 1,
+            WeightSystem(("1/6", "1/6", "1/3")),
+        ),
+        (x0**3 + x1**3, x0 + x1 * 2, WeightSystem(("1/3", "1/3"))),
+        (x0**2 + x1**5, x1, WeightSystem(("1/2", "1/5"))),
+        (
+            sum(v**4 for v in y),
+            1 + y[0] * y[3],
+            WeightSystem(("1/4",) * 4),
+        ),
+        (
+            z0**2 + z0 * z1**2 + z1 * z2**3,
+            z1 + z2,
+            WeightSystem(("1/2", "1/4", "1/4")),
+        ),
+        (
+            z0**3 * z1 + z1**3 * z2 + z2**3 * z0,
+            z1 - z2 * F(1, 2),
+            WeightSystem(("1/4", "1/4", "1/4")),
+        ),
     ]
     kinds = set()
     for s, g, w in cases:
@@ -488,9 +516,76 @@ def test_analyze_verdict_matches_lift_verdict(fermat, wf):
         kinds.add(report.verdict.kind)
         if len(_weighted_degrees(g, w)) == 1:  # a pure numerator blows up its cover form
             assert (report.blowup_exponent, report.blowup_split) == blowup_pullback(
-                report.cover_form, w
+                cover_pullback_form(g, s, w), w
             )
+        # the one composite pullback against the staged cover then chart
+        components = quasi_decompose(g, w).components
+        g_alpha = g if len(components) == 1 else components.get(1 - w.kappa)
+        if g_alpha is None:
+            assert report.blowup_form is None and report.blowup_split is None
+            continue
+        staged = residue._blowup(cover_pullback_form(g_alpha, s, w), w)
+        composite = (report.blowup_form, report.blowup_exponent, report.blowup_split)
+        assert composite == staged
+        # a split's str holds its du0 factor and remainder rendered
+        assert [str(x) for x in composite] == [str(x) for x in staged]
     assert kinds == {LIFTS, OBSTRUCTED, INCONCLUSIVE}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"verdict": LiftVerdict(INCONCLUSIVE)},
+        {"verdict": LiftVerdict(LIFTS), "second_residue": None},
+        {"spectrum": ()},
+    ],
+    ids=["verdict inconclusive", "verdict lifts", "spectrum emptied"],
+)
+def test_verify_rejects_forged_fermat_report(fermat, wf, edit):
+    report = analyze(fermat, Polynomial.one(Z), wf)
+    assert report.verdict.kind == OBSTRUCTED and report.verify()
+    with pytest.raises(ResidueError):
+        dataclasses.replace(report, **edit).verify()
+
+
+def test_verify_ties_the_criterion_to_the_spectrum_and_the_verdict_to_both():
+    z0, z1, z2 = Polynomial.generators(Z)
+    lifts = analyze(
+        z0**3 + z1**3 + z2**4, z0, WeightSystem(("1/3", "1/3", "1/4"))
+    )
+    obstructed = analyze(
+        z0**4 + z1**4 + z2**8, z2**3, WeightSystem(("1/4", "1/4", "1/8"))
+    )
+    assert lifts.verdict.kind == LIFTS and lifts.verify()
+    assert obstructed.verdict.kind == OBSTRUCTED and obstructed.verify()
+    # another k of value 0: it recomputes, but it is not the last entry's
+    other = next(
+        e.k
+        for e in obstructed.spectrum
+        if e.value == 0 and e.k != obstructed.criterion.witness.k
+    )
+    replace = dataclasses.replace
+    for forged in (
+        replace(lifts, verdict=LiftVerdict(OBSTRUCTED)),
+        replace(lifts, second_residue=obstructed.second_residue),
+        replace(
+            obstructed,
+            criterion=CriterionDecision(False, CriterionWitness(other, F(1))),
+        ),
+    ):
+        with pytest.raises(ResidueError):
+            forged.verify()
+
+
+def test_report_pickles(fermat, wf):
+    z0 = Polynomial.variable(Z, "z0")
+    for g in (Polynomial.one(Z), Polynomial.one(Z) + z0):
+        report = analyze(fermat, g, wf)
+        text = cli._dump(cli.report_to_dict(report))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            loaded = pickle.loads(pickle.dumps(report, protocol))
+            assert loaded == report and loaded.verify()
+            assert cli._dump(cli.report_to_dict(loaded)) == text
 
 
 def test_analyze_rescale_path():

@@ -11,24 +11,25 @@ integral over an unbounded real branch is finished off.
 Floats enter through ``_float_evaluator``, which turns polynomials and
 rational functions once into a plain Python function of their variables:
 each coefficient becomes a float once, and the terms run in the order and
-with the operations of ``Polynomial.evaluate``.  Its functions are bit for
-bit ``float(p.evaluate(values))``, errors included, so tracing and
-quadrature give the values they gave through the exact ``evaluate``, at a
-fraction of its cost.  Scalar functions are compiled from generated source;
-the array forms, called only a few times per trace or integral, walk the
-same terms with the same numpy operations instead, and under
-``_strict_floats()`` give the same bits or raise FloatingPointError.
+with the operations of ``Polynomial.evaluate``, so its values are bit for
+bit ``float(p.evaluate(values))`` at a fraction of its cost.  A coefficient
+beyond the float range raises NumericError when the function is built.
 
-The tracer evaluates the curve and both partials in one call, and runs each
-step of its march, Newton correction and tangent test included, in one
-Python frame.  The quadrature passes and the trace re-check run on arrays
-and, when an array call raises, redo the work in the scalar loop, which
-gives the same value or raises the same error at the same chord.  The chord
-values are added strictly left to right by ``np.add.accumulate``, which
-rounds as a Python loop does.  A trace compiles its curve once; an integral
-compiles its scalar coefficients and gradient once, and its scalar
-denominators only if the scalar loop runs.  The denominators are evaluated
-once per integral at all samples; nothing is cached across calls.
+Each use has one float path.  The tracer and the seed scan call the
+compiled scalar function; the tracer evaluates the curve and both partials
+in one call, and runs each step of its march, Newton correction and tangent
+test included, in one Python frame.  The trace re-check and the quadrature
+passes call the array form, which walks the same terms with the same numpy
+operations and gives the same bits.  A chord pass runs under
+``_strict_floats()``; where its floats overflow or divide by zero it raises
+NumericError rather than return a non-finite sum.  The chord values are
+added strictly left to right by ``np.add.accumulate``, which rounds as a
+Python loop does.  An OverflowError or ZeroDivisionError that escapes
+``trace_real_curve`` or ``integrate_1form`` is raised as NumericError, so
+every failure of this module is typed.  A trace compiles its curve once, an
+integral its scalar coefficients and gradient once; the denominators are
+evaluated once per integral at all samples, and nothing is cached across
+calls.
 
 numpy is imported by the functions that use it, on first numerical use, so
 importing this module (and the command line front end) does not load it.
@@ -39,7 +40,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import wraps
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -103,33 +104,24 @@ def _float_evaluator(*polys, array: bool = False):
     coefficients are converted once and the same products and sums run in
     the same order.  A constant over a constant divides exactly before
     rounding, as ``RationalFunction.evaluate`` does.  A coefficient beyond
-    the float range keeps the exact path, whose calls raise OverflowError.
-    The scalar function is compiled from generated source.
+    the float range raises NumericError here, since every float evaluation
+    of it would raise OverflowError.  The scalar function is compiled from
+    generated source.
 
     ``array=True`` gives the same function for numpy arrays of values and
     returns arrays.  It is not compiled: it walks the same terms with the
     same Python operators, so the same numpy operations run in the same
     order.  A power ``v**e`` becomes ``np.float_power(v, e)``, which calls
     the C ``pow`` that ``float.__pow__`` calls; ``np.power`` and ``**`` on
-    arrays take a SIMD path that differs in the last bit.  Under
-    ``_strict_floats()`` every element then equals the scalar value, or the
-    call raises FloatingPointError: wherever a scalar call raises, and also
-    where a scalar product only overflows to inf.  Callers redo such a call
-    on the scalar function.  A coefficient beyond the float range always
-    raises FloatingPointError here.
+    arrays take a SIMD path that differs in the last bit.  Every finite
+    element then equals the scalar value.  Where a scalar call raises, or
+    a product overflows, the element is not finite, or under
+    ``_strict_floats()`` the call raises FloatingPointError.
     """
     try:
         programs = [_float_program(p) for p in polys]
-    except OverflowError:
-        if array:
-
-            def beyond_range(*values):
-                raise FloatingPointError("a coefficient is beyond the float range")
-
-            return beyond_range
-        if len(polys) == 1:
-            return lambda *values: float(polys[0].evaluate(values))
-        return lambda *values: tuple(float(p.evaluate(values)) for p in polys)
+    except OverflowError as exc:
+        raise NumericError(f"a coefficient is beyond the float range ({exc})") from exc
     if array:
         return _array_evaluator(programs)
     coeffs = []
@@ -191,7 +183,7 @@ def _array_evaluator(programs):
 
 
 def _strict_floats():
-    """The numpy error state under which array evaluators match the scalar ones.
+    """The numpy error state of the chord passes.
 
     Overflow, division by zero and invalid operations raise
     FloatingPointError; underflow is ignored, as Python ignores it.
@@ -202,23 +194,31 @@ def _strict_floats():
 
 
 def _first_off_curve(curve: Polynomial, pts) -> Optional[int]:
-    """Index of the first row of pts where |curve| >= SAMPLE_TOL, or None.
+    """Index of the first row of pts where |curve| < SAMPLE_TOL fails, or None.
 
-    The array evaluator checks every row at once; if it raises
-    FloatingPointError, the scalar loop runs and stops at the first
-    offender, or raises where it raises.
+    A residual that overflows or is nan fails the test too, so a sample the
+    floats cannot place on the curve is named like any other offender.
     """
     import numpy as np
 
-    try:
-        with _strict_floats():
-            residual = _float_evaluator(curve, array=True)(pts[:, 0], pts[:, 1])
-            off = np.flatnonzero(np.abs(residual) >= SAMPLE_TOL)
-    except FloatingPointError:
-        value = _float_evaluator(curve)
-        rows = enumerate(pts.tolist())
-        return next((k for k, (x, y) in rows if abs(value(x, y)) >= SAMPLE_TOL), None)
+    with np.errstate(all="ignore"):
+        residual = _float_evaluator(curve, array=True)(pts[:, 0], pts[:, 1])
+        off = np.flatnonzero(~(np.abs(residual) < SAMPLE_TOL))
     return int(off[0]) if off.size else None
+
+
+def _typed_float_errors(fn):
+    """fn, raising NumericError where its float arithmetic raises
+    OverflowError or ZeroDivisionError."""
+
+    @wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise NumericError(f"{fn.__name__}: {type(exc).__name__}: {exc}") from exc
+
+    return checked
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,6 +281,7 @@ def _unit_tangent(gradient, point):
     return (gy / norm, -gx / norm)
 
 
+@_typed_float_errors
 def trace_real_curve(
     f: Polynomial, seed, step, max_steps: int
 ) -> CurveTrace:
@@ -397,29 +398,26 @@ def _form_coefficients(form, variables):
 class _Integrand:
     """P du1 + Q du2 on one trace, with everything built once.
 
-    The scalar coefficients are called with plain floats, so a vanishing
-    denominator raises instead of producing a numpy inf with a warning.
-    ``vector_pq`` and ``vector_dens`` are the array forms the chord passes
-    use.  ``den_samples[k]`` is |dens[k]| at every sample, an array the
-    first vector pass fills and the core and coarse passes share.  The
-    scalar denominators are compiled only when a scalar loop runs.
+    The scalar coefficients and gradient, which the regularized chords and
+    the tails call, take plain floats, so a vanishing denominator raises
+    instead of producing a numpy inf with a warning.  ``vector_pq`` and
+    ``vector_dens`` are the array forms the chord passes use.
+    ``den_samples[k]`` is |vector_dens[k]| at every sample, an array the
+    first chord pass fills and the core and coarse passes share.
     """
 
     def __init__(self, form, trace: CurveTrace):
         P, Q = _form_coefficients(form, trace.curve.variables)
-        self.den_polys = [c.den for c in (P, Q) if not c.den.is_constant]
         self.P, self.Q = _float_evaluator(P), _float_evaluator(Q)
         self.gradient = _float_evaluator(
             trace.curve.partial_derivative(0), trace.curve.partial_derivative(1)
         )
         self.vector_pq = _float_evaluator(P, Q, array=True)
-        self.vector_dens = [_float_evaluator(den, array=True) for den in self.den_polys]
+        self.vector_dens = [
+            _float_evaluator(c.den, array=True) for c in (P, Q) if not c.den.is_constant
+        ]
         self.den_samples = None
         self.rows = trace.samples
-
-    @cached_property
-    def dens(self):
-        return [_float_evaluator(den) for den in self.den_polys]
 
     def slope_form(self, c: int, x: float, y: float, gx: float, gy: float) -> float:
         """P + Q du2/du1 (c = 0) or Q + P du1/du2 (c = 1) on the curve."""
@@ -460,50 +458,18 @@ def _regularized_chord(ig: _Integrand, i: int, j: int) -> float:
     return sum(values) / len(values) * dc
 
 
-def _near_pole(ig: _Integrand, a, b, nodes) -> bool:
-    """True when some coefficient denominator collapses across the chord a -> b."""
-    for den in ig.dens:
-        ends = (abs(den(*a)), abs(den(*b)))
-        magnitudes = [*ends, *(abs(den(x, y)) for x, y in nodes)]
-        if min(magnitudes) < 0.05 * max(ends):
-            return True
-        if ends[0] == 0.0 or ends[1] == 0.0:
-            return True
-    return False
-
-
-def _scalar_gauss(ig: _Integrand, index):
-    """Two-point Gauss value of each chord along ``index``, one at a time.
-
-    Yields nan for a chord near a pole, or whose value raises or is not
-    finite.  Being lazy, it evaluates a chord only once the caller has
-    finished the one before, so errors surface at the chord they come from.
-    """
-    P, Q, points = ig.P, ig.Q, ig.rows.tolist()
-    for i, j in zip(index, index[1:]):
-        (ax, ay), (bx, by) = points[i], points[j]
-        dx, dy = bx - ax, by - ay
-        nodes = [(ax + t * dx, ay + t * dy) for t in _GAUSS_NODES]
-        if ig.dens and _near_pole(ig, points[i], points[j], nodes):
-            yield math.nan
-            continue
-        try:
-            gauss = 0.0
-            for x, y in nodes:
-                gauss += 0.5 * (P(x, y) * dx + Q(x, y) * dy)
-        except (ZeroDivisionError, OverflowError):
-            gauss = math.nan
-        yield gauss if math.isfinite(gauss) else math.nan
-
-
 def _vector_gauss(ig: _Integrand, index):
-    """The values of ``_scalar_gauss`` for all chords at once, as an array.
+    """Two-point Gauss value of each chord between consecutive samples of
+    ``index``, as an array; nan marks a chord near a coefficient pole.
 
-    Call under ``_strict_floats()``.  Every chord's nodes and denominator
-    magnitudes are arrays, built with the scalar operations in their order;
-    P and Q are evaluated only at the nodes of chords away from a pole.
-    From finite samples, an operation that does not raise gives a finite
-    value, so a FloatingPointError is the only way the two can differ.
+    Call under ``_strict_floats()``.  A chord is near a pole when some
+    denominator's magnitude at an endpoint is 0, or at an endpoint or
+    Gauss node falls below 0.05 times the larger endpoint magnitude.  P and
+    Q are evaluated only at the nodes of the other chords.  Every node and
+    value is built with the operations, in the order, that one chord at a
+    time in Python floats would use, so each finite value is the one that
+    loop gives; a pass whose floats overflow or divide by zero raises
+    FloatingPointError.
     """
     import numpy as np
 
@@ -534,36 +500,27 @@ def _vector_gauss(ig: _Integrand, index):
     return values
 
 
-def _chord_sum(ig: _Integrand, index) -> float:
+def _chord_sum(ig: _Integrand, index, name: str) -> float:
     """Composite two-point Gauss quadrature of P du1 + Q du2 over the chords
     between consecutive samples of ``index``, an integer array.
 
     A chord whose interior nodes stray near a coefficient pole that the
     curve itself passes through integrably is replaced by the on-curve
     regularized endpoint value; everywhere else plain Gauss keeps exact
-    forms telescoping around closed traces.  The values are added strictly
-    left to right, from 0.0, as a Python loop adds them.
-
-    The Gauss values come from the array pass, the regularized ones are
-    filled in chord order, and ``np.add.accumulate`` adds them all, one
-    after the other (``np.sum`` adds pairwise, with other roundings).  If
-    the array pass raises FloatingPointError, the scalar loop gives each
-    chord's value and adds it before it looks at the next chord, so an
-    error surfaces at the chord it comes from.
+    forms telescoping around closed traces.  The Gauss values come from
+    one array pass, the regularized ones are filled in chord order, and
+    ``np.add.accumulate`` adds them all strictly left to right from 0.0, as
+    a Python loop adds them (``np.sum`` adds pairwise, with other
+    roundings).  A FloatingPointError from the array pass is raised as a
+    NumericError that names the pass, ``name``.
     """
     import numpy as np
 
     try:
         with _strict_floats():
             values = _vector_gauss(ig, index)
-    except FloatingPointError:
-        chords = index.tolist()
-        total = 0.0
-        for i, j, gauss in zip(chords, chords[1:], _scalar_gauss(ig, chords)):
-            if math.isnan(gauss):
-                gauss = _regularized_chord(ig, i, j)
-            total += gauss
-        return total
+    except FloatingPointError as exc:
+        raise NumericError(f"{name} chord pass failed: {exc}") from exc
     for k in np.flatnonzero(np.isnan(values)).tolist():
         values[k] = _regularized_chord(ig, index[k], index[k + 1])
     # a sum that overflows to inf, or meets inf + -inf, is not an error in
@@ -624,6 +581,7 @@ def _tail_contribution(ig: _Integrand, at_start: bool):
     return value, abs(value - other), None
 
 
+@_typed_float_errors
 def integrate_1form(form, trace: CurveTrace) -> IntegralResult:
     """Integrate a 1-form along a trace; value plus conservative estimate.
 
@@ -636,11 +594,11 @@ def integrate_1form(form, trace: CurveTrace) -> IntegralResult:
 
     ig = _Integrand(form, trace)
     n = len(trace)
-    core = _chord_sum(ig, np.arange(n))
+    core = _chord_sum(ig, np.arange(n), "core")
     coarse_index = np.arange(0, n, 2)
     if (n - 1) % 2:
         coarse_index = np.append(coarse_index, n - 1)
-    coarse = _chord_sum(ig, coarse_index)
+    coarse = _chord_sum(ig, coarse_index, "coarse")
     estimate = abs(core - coarse)
     if estimate > max(1e-6, 0.25 * abs(core)):
         raise DivergenceError(

@@ -492,6 +492,17 @@ class ResidueReport:
             value = entry.value
             if v > 0 or value.numerator * l != v * value.denominator:
                 raise ResidueError("spectrum entry does not recompute")
+        # the component is exactly the terms of g of l-scaled degree l - sum(e)
+        g, component = self.g, self.obstruction_component
+        part = {
+            m: c for m, c in g.terms.items() if sum(map(mul, m, exponents)) == -base
+        }
+        if component.variables != g.variables or component.terms != part:
+            raise ResidueError(
+                "obstruction component is not the weight-(1 - kappa) part of g"
+            )
+        if self.obstruction_nonzero != bool(part):
+            raise ResidueError("obstruction_nonzero disagrees with the component")
         # the criterion is the spectrum's zero test, and the verdict follows
         # from the criterion and the component
         holds = self.criterion.holds

@@ -239,44 +239,44 @@ def test_integrate_matches_exact_evaluation(tmp_path, capsys, monkeypatch):
         return seen
 
     compiled = outputs()
-    for vector in (True, False):
-        monkeypatch.setattr(numint, "_float_evaluator", _exact_evaluator(vector))
-        assert outputs() == compiled
+    monkeypatch.setattr(numint, "_float_evaluator", _exact_evaluator)
+    assert outputs() == compiled
 
 
-def _exact_evaluator(vector: bool):
+def _exact_evaluator(*polys, array=False):
     """A stand-in for ``numint._float_evaluator`` built on the exact evaluate.
 
     The scalar form returns ``float(p.evaluate(values))`` for one argument
     and the tuple of those for several.  The array form does the same
     element by element, and raises FloatingPointError where that raises or
-    gives a non-finite value; with ``vector`` false it always raises, so
-    every chord pass and trace re-check runs its scalar loop.
+    gives a non-finite value.
     """
 
-    def compile_exact(*polys, array=False):
-        def scalar(*values):
-            out = tuple(float(p.evaluate(values)) for p in polys)
-            return out if len(polys) > 1 else out[0]
+    def scalar(*values):
+        out = tuple(float(p.evaluate(values)) for p in polys)
+        return out if len(polys) > 1 else out[0]
 
-        if not array:
-            return scalar
+    if not array:
+        return scalar
 
-        def elementwise(*columns):
-            if not vector:
-                raise FloatingPointError("scalar loop forced")
-            try:
-                rows = [scalar(*values) for values in zip(*(c.tolist() for c in columns))]
-            except (ZeroDivisionError, OverflowError) as exc:
-                raise FloatingPointError(str(exc)) from exc
-            out = np.array(rows, dtype=float).reshape(len(rows), len(polys)).T
-            if not np.isfinite(out).all():
-                raise FloatingPointError("a value is not finite")
-            return tuple(out) if len(polys) > 1 else out[0]
+    def elementwise(*columns):
+        try:
+            rows = [scalar(*values) for values in zip(*(c.tolist() for c in columns))]
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise FloatingPointError(str(exc)) from exc
+        out = np.array(rows, dtype=float).reshape(len(rows), len(polys)).T
+        if not np.isfinite(out).all():
+            raise FloatingPointError("a value is not finite")
+        return tuple(out) if len(polys) > 1 else out[0]
 
-        return elementwise
+    return elementwise
 
-    return compile_exact
+
+def test_integrate_refuses_a_coefficient_beyond_the_float_range(tmp_path, capsys):
+    job = write_job(tmp_path, dict(FERMAT_JOB, s="10^400*z0^3+z1^3+z2^3"))
+    assert main(["integrate", job]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: NumericError: a coefficient is beyond the float range")
 
 
 def test_batch_mode(tmp_path, capsys):
@@ -462,8 +462,7 @@ def test_no_command_prints_help(capsys):
 
 def test_integrate_compiles_at_most_five_evaluators(tmp_path, capsys, monkeypatch):
     """A Fermat integrate compiles the seed scan, the tracer and the scalar
-    P, Q and gradient once each; array forms and the scalar denominators,
-    which only the scalar fallback calls, are not compiled."""
+    P, Q and gradient once each; array forms are not compiled."""
     import builtins
 
     compiles = []

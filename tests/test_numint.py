@@ -185,8 +185,7 @@ def _random_polynomial(rng):
 
 def _evaluator_cases():
     """Polynomials, rational functions and points on which the compiled
-    evaluators are compared: -0.0, zero denominators, overflow and a
-    coefficient beyond the float range all occur."""
+    evaluators are compared: -0.0, zero denominators and overflow all occur."""
     rng = random.Random(1811)
     u1, u2 = Polynomial.generators(UV)
     polys = [_random_polynomial(rng) for _ in range(40)]
@@ -195,7 +194,6 @@ def _evaluator_cases():
         Polynomial.constant(UV, F(-7, 10)),
         F(-1, 3) * u1,  # -0.0 at u1 = 0
         u1 * u2 - F(1, 3) * u2**3 + F(5, 7),
-        Polynomial.constant(UV, 10**400) + u1,  # a coefficient beyond float range
     ]
     # an unnormalized constant quotient: evaluate divides the Fractions exactly
     # first, and float(1/10) / float(3/10) differs from float(1/3) in the last bit
@@ -235,6 +233,17 @@ def test_float_evaluator_is_bit_identical_to_evaluate():
     # the cases the comparison is meant to cover did occur
     assert struct.pack("<d", -0.0) in seen
     assert {o[0] for o in seen if isinstance(o, tuple)} == {ZeroDivisionError, OverflowError}
+
+
+def test_coefficient_beyond_the_float_range_is_refused():
+    """Every float evaluation of such a coefficient would overflow, so both
+    evaluator forms refuse it when they are built."""
+    u1, u2 = Polynomial.generators(UV)
+    huge = Polynomial.constant(UV, 10**400)
+    for p in (huge + u1, RationalFunction(u2, huge + u1), RationalFunction(huge, 3)):
+        for array in (False, True):
+            with pytest.raises(NumericError, match="beyond the float range"):
+                _float_evaluator(u2, p, array=array)
 
 
 def _array_outcome(vector, xs, ys):
@@ -318,8 +327,34 @@ def _bits(result):
     return repr(fields)
 
 
+def _loop_gauss(ig, dens, index):
+    """Reference for ``numint._vector_gauss``: each chord's two-point Gauss
+    value in Python floats, one chord at a time, nan for a chord near a
+    pole of a denominator in ``dens``."""
+    P, Q, points = ig.P, ig.Q, ig.rows.tolist()
+    values = []
+    for i, j in zip(index, index[1:]):
+        (ax, ay), (bx, by) = points[i], points[j]
+        dx, dy = bx - ax, by - ay
+        nodes = [(ax + t * dx, ay + t * dy) for t in numint._GAUSS_NODES]
+        near_pole = False
+        for den in dens:
+            ends = (abs(den(ax, ay)), abs(den(bx, by)))
+            low = min(*ends, *(abs(den(x, y)) for x, y in nodes))
+            near_pole |= low < 0.05 * max(ends) or min(ends) == 0.0
+        gauss = math.nan
+        if not near_pole:
+            gauss = 0.0
+            for x, y in nodes:
+                gauss += 0.5 * (P(x, y) * dx + Q(x, y) * dy)
+        values.append(gauss)
+    return values
+
+
 @pytest.mark.parametrize("hesse", [False, True], ids=["fermat", "hesse"])
-def test_vector_and_scalar_chord_passes_agree(hesse, fermat_trace, monkeypatch):
+def test_vector_and_scalar_chord_passes_agree(hesse, fermat_trace):
+    """The array chord pass gives, bit for bit, the values of the loop over
+    chords in Python floats, and an integral's fields are plain floats."""
     import numpy as np
 
     z = ("z0", "z1", "z2")
@@ -334,76 +369,71 @@ def test_vector_and_scalar_chord_passes_agree(hesse, fermat_trace, monkeypatch):
     u1, u2 = Polynomial.generators(UV)
     rotation = (differential(UV, "u2") * u1 - differential(UV, "u1") * u2) * F(1, 3)
     n = len(trace)
-    results = []
     for form in (second.form, rotation):
         ig = numint._Integrand(form, trace)
+        coefficients = numint._form_coefficients(form, UV)
+        dens = [_float_evaluator(c.den) for c in coefficients if not c.den.is_constant]
         for index in (np.arange(n), np.arange(0, n, 2)):
             with _strict_floats():
                 vector = numint._vector_gauss(ig, index)
-            scalar = list(numint._scalar_gauss(ig, index.tolist()))
+            scalar = _loop_gauss(ig, dens, index.tolist())
             assert [struct.pack("<d", v) for v in vector] == [
                 struct.pack("<d", v) for v in scalar
             ]
             if form is second.form and not hesse:
                 # the Fermat pole lies on the curve: some chords are regularized
                 assert any(math.isnan(v) for v in vector)
-        results.append(_bits(integrate_1form(form, trace)))
-
-    def scalar_only(ig, index):
-        raise FloatingPointError("scalar loop forced")
-
-    monkeypatch.setattr(numint, "_vector_gauss", scalar_only)
-    assert [_bits(integrate_1form(form, trace)) for form in (second.form, rotation)] == results
+        _bits(integrate_1form(form, trace))
 
 
-def test_overflow_raises_the_same_error_both_ways(monkeypatch):
+def test_chord_pass_overflow_raises_numeric_error():
     """Along u2 = 0 out to u1 = 1e200, the denominator u1^3 overflows: the
-    array pass falls back and the scalar loop raises its OverflowError."""
+    core chord pass fails and says so."""
     import numpy as np
 
     u1, u2 = Polynomial.generators(UV)
     samples = np.array([(x, 0.0) for x in np.geomspace(0.5, 1e200, 40)])
     trace = CurveTrace(u2, samples, False)
     form = differential(UV, "u1") * RationalFunction(Polynomial.one(UV), u1**3)
-    vector_gauss = numint._vector_gauss
-    fallbacks = []
-
-    def spy(ig, index):
-        try:
-            return vector_gauss(ig, index)
-        except FloatingPointError:
-            fallbacks.append(len(index))
-            raise
-
-    monkeypatch.setattr(numint, "_vector_gauss", spy)
-    with pytest.raises(OverflowError) as vector:
+    with pytest.raises(NumericError, match="^core chord pass failed: overflow"):
         integrate_1form(form, trace)
-    assert fallbacks == [len(trace)]
-
-    def scalar_only(ig, index):
-        raise FloatingPointError("scalar loop forced")
-
-    monkeypatch.setattr(numint, "_vector_gauss", scalar_only)
-    with pytest.raises(OverflowError) as scalar:
-        integrate_1form(form, trace)
-    assert str(vector.value) == str(scalar.value)
 
 
 def test_trace_recheck_names_the_first_offender():
-    """The re-check reports the first off-curve sample, or raises where the
-    scalar loop raises when the array check falls back on an overflow."""
+    """The re-check reports the first off-curve sample, also one whose
+    residual overflows."""
     import numpy as np
 
     u1, u2 = Polynomial.generators(UV)
     curve = u2 + u1**3
     on, off, huge = (0.0, 0.0), (1.0, 5.0), (1e200, 0.0)
-    for rows in ([on, off, (2.0, 3.0)], [on, off, huge]):
+    for rows in ([on, off, (2.0, 3.0)], [on, off, huge], [on, huge, off]):
         samples = np.array(rows)
         with pytest.raises(NumericError) as info:
             CurveTrace(curve, samples, False)
         assert str(info.value) == f"trace sample {tuple(samples[1])} is off the curve"
-    with pytest.raises(OverflowError):
-        CurveTrace(curve, np.array([on, huge, off]), False)
+
+
+def test_float_failures_leave_the_public_functions_as_numeric_errors(
+    fermat_trace, monkeypatch
+):
+    """An OverflowError or ZeroDivisionError from the floats of a trace or an
+    integral reaches the caller as NumericError."""
+    u1, u2 = Polynomial.generators(UV)
+    fermat = Polynomial.one(UV) + u1**3 + u2**3
+    # the first predictor step lands at u1 = 1e300, whose cube overflows
+    with pytest.raises(NumericError, match="^trace_real_curve: OverflowError"):
+        trace_real_curve(fermat, (0.0, -1.0), 1e300, 10)
+    with pytest.raises(NumericError, match="^trace_real_curve: OverflowError"):
+        trace_real_curve(fermat, (0.0, -1.0), "1e400", 10)
+
+    def divide_by_zero(ig, at_start):
+        return 1.0 / 0.0
+
+    monkeypatch.setattr(numint, "_tail_contribution", divide_by_zero)
+    rep = (differential(UV, "u2") * u1 - differential(UV, "u1") * u2) * F(1, 3)
+    with pytest.raises(NumericError, match="^integrate_1form: ZeroDivisionError"):
+        integrate_1form(rep, fermat_trace)
 
 
 def _reference_trace(f, seed, step, max_steps):
@@ -568,7 +598,7 @@ def test_chord_sum_adds_left_to_right(monkeypatch):
         total = 0.0
         for v in values:
             total += v
-        got = numint._chord_sum(None, np.arange(len(values) + 1))
+        got = numint._chord_sum(None, np.arange(len(values) + 1), "core")
         assert type(got) is float
         assert struct.pack("<d", got) == struct.pack("<d", total), values[:4]
         if len(values) > 100:

@@ -532,17 +532,30 @@ def test_analyze_verdict_matches_lift_verdict(fermat, wf):
     assert kinds == {LIFTS, OBSTRUCTED, INCONCLUSIVE}
 
 
+ONE = Polynomial.one(Z)
+MIXED_G = ONE + Polynomial.variable(Z, "z0")
+
+
 @pytest.mark.parametrize(
-    "edit",
+    "g, edit",
     [
-        {"verdict": LiftVerdict(INCONCLUSIVE)},
-        {"verdict": LiftVerdict(LIFTS), "second_residue": None},
-        {"spectrum": ()},
+        (ONE, {"verdict": LiftVerdict(INCONCLUSIVE)}),
+        (ONE, {"verdict": LiftVerdict(LIFTS), "second_residue": None}),
+        (ONE, {"spectrum": ()}),
+        (ONE, {"obstruction_component": Polynomial.zero(Z)}),
+        # the component of weight 1 - kappa = 0 is 1 alone
+        (MIXED_G, {"obstruction_component": MIXED_G}),
     ],
-    ids=["verdict inconclusive", "verdict lifts", "spectrum emptied"],
+    ids=[
+        "verdict inconclusive",
+        "verdict lifts",
+        "spectrum emptied",
+        "component zeroed",
+        "component is the mixed g",
+    ],
 )
-def test_verify_rejects_forged_fermat_report(fermat, wf, edit):
-    report = analyze(fermat, Polynomial.one(Z), wf)
+def test_verify_rejects_forged_fermat_report(fermat, wf, g, edit):
+    report = analyze(fermat, g, wf)
     assert report.verdict.kind == OBSTRUCTED and report.verify()
     with pytest.raises(ResidueError):
         dataclasses.replace(report, **edit).verify()

@@ -789,11 +789,6 @@ class RationalFunction:
         # a normalized constant denominator is 1
         return self.den.is_constant
 
-    def as_polynomial(self) -> Polynomial:
-        if not self.is_polynomial:
-            raise AlgebraError(f"{self} is not a polynomial")
-        return self.num
-
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
             if other.variables != self.variables:

@@ -16,8 +16,8 @@ module provides three more specialised tools used by the residue pipeline:
   are cleared.  This deliberately avoids general ideal membership; the
   divisibility probe is exact for the comparisons performed here.
 * the private ``_Cleared`` accumulator checks exact form identities, such
-  as df /\\ r = eta or the recombination of a split, on cleared
-  denominators, without normalizing any coefficient.
+  as df /\\ r = eta, on cleared denominators, without normalizing any
+  coefficient.
 
 ``pullback`` accepts any polynomial images.  When every image is a single
 term c_i * u^(M_i), a monomial map such as the branched cover or a blow-up
@@ -50,7 +50,6 @@ from .algebra import (
     _map_terms,
     _monomial_rows,
     _shifted,
-    _single_term,
     _wrap,
     divide_with_remainder,
     divides,
@@ -541,33 +540,6 @@ def split_du0(a: DifferentialForm, var_index: int = 0) -> SplitResult:
         du0_factor=DifferentialForm(a.variables, radial),
         remainder=DifferentialForm(a.variables, rest),
     )
-
-
-def _recombines(
-    split: SplitResult, a: DifferentialForm, var_index: int = 0
-) -> bool:
-    """Whether u^e du /\\ du0_factor + remainder re-expands to a; the inverse
-    of split_du0, checked on cleared denominators."""
-    variables = a.variables
-    if {split.du0_factor.variables, split.remainder.variables} != {variables}:
-        return False
-    rebuilt = _Cleared().add_form(split.remainder)
-    if split.exponent is not None:
-        e = split.exponent
-        exponents = [0] * len(variables)
-        exponents[var_index] = abs(e)
-        power = _single_term(variables, exponents)
-        for key, coeff in split.du0_factor.components.items():
-            sign, merged = _merge_signed((var_index,), key)
-            if sign == 0:
-                continue
-            num, den = coeff.num, coeff.den
-            if e >= 0:
-                num = num * power
-            else:
-                den = den * power
-            rebuilt.add(merged, num if sign > 0 else -num, den)
-    return rebuilt == _Cleared().add_form(a)
 
 
 def _require_comparable(a: DifferentialForm, b: DifferentialForm, f: Polynomial):

@@ -15,12 +15,14 @@ by d of the chart equation.
 The cover, the blow-up chart and the cover followed by the evaluation at
 z_0 = 1 are all monomial maps, so every pullback and substitution here runs
 by exponent arithmetic (see forms.pullback); its cost follows the term count,
-not l.  analyze makes one pass: it checks its inputs once, decomposes the
-numerator once, reads the criterion off the nonpositive spectrum, and reaches
-the blow-up chart with one pullback through the composite monomial map
-z_0 -> u_0^(e_0), z_i -> u_0^(e_i) u_i^(e_i), with e_i = l*a_i.  The public
-stage functions (cover_pullback_form, blowup_pullback, second_residue) keep
-the staged route and their own input checks for direct callers.
+not l.  analyze pulls no form back: it checks its inputs once, decomposes the
+numerator once, reads the criterion off the nonpositive spectrum and the
+blow-up exponent off the weight of the numerator by the formula above, and
+sends s and the obstruction component through the chart map z_0 -> 1,
+z_i -> u_i^(e_i), with e_i = l*a_i.  The public stage functions
+(cover_pullback_form, blowup_pullback, second_residue) keep the staged route
+with its pullbacks and their own input checks, for direct callers and as the
+reference analyze is tested against.
 
 Everything here is exact.  The scalar prefactor 1/(2*pi*i) that
 conventionally normalizes residues is carried as a symbolic tag on the
@@ -37,7 +39,9 @@ from typing import Optional, Tuple
 from .algebra import (
     Polynomial,
     RationalFunction,
+    _map_terms,
     _single_term,
+    _wrap,
     divides,
     poly_with_variables,
 )
@@ -59,7 +63,6 @@ from .forms import (
     DifferentialForm,
     SplitResult,
     _Cleared,
-    _recombines,
     basis_form,
     pullback,
     split_du0,
@@ -190,25 +193,6 @@ def _leray_residue(
     )
 
 
-def residue_division(eta: DifferentialForm, f: Polynomial, chart: int) -> ChartForm:
-    r"""Solve df /\ r = eta for a top form eta in the chart variables.
-
-    Same construction as the Leray residue, applied to the single
-    coefficient of eta; the sign is fixed by the defining identity, which
-    is re-verified exactly before returning.
-    """
-    variables = eta.variables
-    f = poly_with_variables(f, variables)
-    n = len(variables)
-    if not 0 <= chart < n:
-        raise ResidueError(f"chart index {chart} out of range for {variables}")
-    if eta.is_zero:
-        return ChartForm(chart_index=chart, relation=f, form=eta)
-    if set(eta.components) != {tuple(range(n))}:
-        raise ResidueError("expected a top degree form in the chart variables")
-    return _residue_division(eta, f, chart, f.partial_derivative(chart))
-
-
 def _residue_division(
     eta: DifferentialForm,
     f: Polynomial,
@@ -216,8 +200,13 @@ def _residue_division(
     f_chart: Polynomial,
     certificate: Optional[NonvanishingCertificate] = None,
 ) -> ChartForm:
-    """residue_division for a nonzero top form eta over f's variables, a chart
-    in range, f_chart = df/du_chart; the chart form carries the certificate."""
+    r"""Solve df /\ r = eta for a nonzero top form eta over f's variables.
+
+    Same construction as the Leray residue, applied to the single coefficient
+    of eta, in a chart in range with f_chart = df/du_chart; the sign is fixed
+    by the defining identity, which is re-verified exactly before returning.
+    The chart form carries the certificate.
+    """
     variables = f.variables
     n = len(variables)
     _require_usable_chart(f, chart, f_chart)
@@ -266,14 +255,6 @@ def blowup_pullback(
     should be decomposed first and the components processed independently.
     Returns the pure u_0 exponent of the du_0 part together with the split.
     """
-    _, exponent, split = _blowup(omega_hat, w)
-    return exponent, split
-
-
-def _blowup(
-    omega_hat: DifferentialForm, w: WeightSystem
-) -> Tuple[DifferentialForm, Optional[int], SplitResult]:
-    """blowup_pullback, also returning the pulled back form it splits."""
     variables = omega_hat.variables
     if len(variables) != len(w):
         raise ResidueError(
@@ -301,8 +282,7 @@ def _blowup(
         _single_term(chart_vars, [1] + [int(j == i) for j in range(1, n)])
         for i in range(n)
     ]
-    blown = pullback(omega_hat, images)
-    split = split_du0(blown, 0)
+    split = split_du0(pullback(omega_hat, images), 0)
     top = tuple(range(n))
     if split.exponent is not None and set(omega_hat.components) == {top}:
         # structural cross-check: for a top form with homogeneous
@@ -313,24 +293,7 @@ def _blowup(
             raise ResidueError(
                 f"blow-up exponent {split.exponent} contradicts degree count {expected}"
             )
-    return blown, split.exponent, split
-
-
-def _chart_pullback(g: Polynomial, s: Polynomial, w: WeightSystem) -> DifferentialForm:
-    r"""(g/s) dz0 /\ ... /\ dzn pulled back to the 0-th blow-up chart of the cover.
-
-    The cover z_i -> z_i^(e_i) followed by the chart z_0 = u_0, z_i = u_0 u_i
-    is the single monomial map z_0 -> u_0^(e_0), z_i -> u_0^(e_i) u_i^(e_i),
-    with Jacobian C * u_0^(sum e - 1) * prod_{i>=1} u_i^(e_i - 1); one
-    pullback through it gives _blowup(cover_pullback_form(g, s, w), w)'s form.
-    """
-    n = len(s.variables)
-    chart_vars = _chart_names(n)
-    images = [
-        _single_term(chart_vars, [e if j in (0, i) else 0 for j in range(n)])
-        for i, e in enumerate(w.cover_exponents)
-    ]
-    return pullback(volume_form(s.variables, RationalFunction(g, s)), images)
+    return split.exponent, split
 
 
 def blowup_exponent_formula(alpha: Fraction, w: WeightSystem) -> int:
@@ -370,6 +333,23 @@ def second_residue(g: Polynomial, s: Polynomial, w: WeightSystem) -> ChartForm:
     return _second_residue(s, w, component if nonzero else None)
 
 
+def _chart_image(p: Polynomial, w: WeightSystem) -> Polynomial:
+    """p under the cover followed by z_0 = 1: z_0 -> 1, z_i -> u_i^(l*a_i)."""
+    n = len(p.variables)
+    rows = [((), None)] + [(((i, e),), None) for i, e in enumerate(w.cover_exponents[1:])]
+    return _wrap(_chart_names(n - 1, start=1), _map_terms(p.terms, rows, n - 1))
+
+
+def _chart_index_matches(chart: ChartForm) -> bool:
+    """Whether chart_index is the one index the form's single basis key omits,
+    or None for the zero form."""
+    keys = list(chart.form.components)
+    if not keys:
+        return chart.chart_index is None
+    omitted = [i for i in range(len(chart.form.variables)) if i not in keys[0]]
+    return len(keys) == 1 and omitted == [chart.chart_index]
+
+
 def _second_residue(
     s: Polynomial, w: WeightSystem, component: Optional[Polynomial]
 ) -> ChartForm:
@@ -381,19 +361,14 @@ def _second_residue(
     if n < 2:
         raise ResidueError("the blow-up chart needs at least two variables")
     chart_vars = _chart_names(n - 1, start=1)
-    # the cover followed by z_0 = 1: z_0 -> 1, z_i -> u_i^(l*a_i)
-    chart_map = [
-        _single_term(chart_vars, [e if j == i else 0 for j in range(1, n)])
-        for i, e in enumerate(w.cover_exponents)
-    ]
-    s_chart = s.substitute(chart_map)
+    s_chart = _chart_image(s, w)
     if component is None:
         return ChartForm(
             chart_index=None,
             relation=s_chart,
             form=DifferentialForm.zero(chart_vars),
         )
-    g_chart = component.substitute(chart_map)
+    g_chart = _chart_image(component, w)
     if g_chart.is_zero:
         raise ResidueError("chart image of the obstruction component vanished")
     if divides(s_chart, g_chart)[0]:
@@ -440,7 +415,13 @@ def _criterion_from_spectrum(
 
 @dataclass(frozen=True)
 class ResidueReport:
-    """Aggregate of every symbolic object the pipeline produced for one point."""
+    """What the pipeline printed or could not derive for one singular point.
+
+    s, g and the weights determine the rest, which verify() recomputes: the
+    spectrum values and the witness, the obstruction component, the blow-up
+    exponent, the verdict, the charts and the relations of both residues.
+    The residue forms themselves are checked by their defining identities.
+    """
 
     s: Polynomial
     g: Polynomial
@@ -448,11 +429,8 @@ class ResidueReport:
     criterion: CriterionDecision
     spectrum: Tuple[SpectrumEntry, ...]
     leray: ChartForm
-    blowup_form: Optional[DifferentialForm]
     blowup_exponent: Optional[int]
-    blowup_split: Optional[SplitResult]
     second_residue: Optional[ChartForm]
-    obstruction_nonzero: bool
     obstruction_component: Polynomial
     verdict: LiftVerdict
     warnings: Tuple[str, ...] = ()
@@ -470,14 +448,28 @@ class ResidueReport:
     def jacobian_constant(self) -> Fraction:
         return self.weight_system.jacobian_constant
 
-    def verify(self) -> bool:
-        """Re-expand every defining identity in the report; raise on failure.
+    @property
+    def obstruction_nonzero(self) -> bool:
+        return not self.obstruction_component.is_zero
 
-        Each form identity is checked on cleared denominators (forms._Cleared):
-        no RationalFunction is built and nothing is divided.
+    def verify(self) -> bool:
+        """Recompute the report from s, g and the weights; raise on failure.
+
+        The two form identities (the Leray and the second residue) are checked
+        on cleared denominators (forms._Cleared): no RationalFunction is built
+        and nothing is divided.  Everything else is recomputed on integers
+        over the cover order l, or by the exponent arithmetic of the chart map.
         """
-        leray = _Cleared().add_d_wedge(self.s, self.leray.form)
-        if leray != _Cleared().add(tuple(range(len(self.s.variables))), self.g):
+        s, g, leray = self.s, self.g, self.leray
+        if (
+            leray.relation != s
+            or leray.form.variables != s.variables
+            or leray.chart_index is None
+            or not _chart_index_matches(leray)
+        ):
+            raise ResidueError("Leray residue is not a chart form of s")
+        lhs = _Cleared().add_d_wedge(s, leray.form)
+        if lhs != _Cleared().add(tuple(range(len(s.variables))), g):
             raise ResidueError("stored residue fails its defining identity")
         # the witness and the spectrum, on integers over the cover order l
         l = self.cover_order
@@ -493,52 +485,77 @@ class ResidueReport:
             if v > 0 or value.numerator * l != v * value.denominator:
                 raise ResidueError("spectrum entry does not recompute")
         # the component is exactly the terms of g of l-scaled degree l - sum(e)
-        g, component = self.g, self.obstruction_component
-        part = {
-            m: c for m, c in g.terms.items() if sum(map(mul, m, exponents)) == -base
-        }
+        component = self.obstruction_component
+        degrees = {m: sum(map(mul, m, exponents)) for m in g.terms}
+        part = {m: c for m, c in g.terms.items() if degrees[m] == -base}
         if component.variables != g.variables or component.terms != part:
             raise ResidueError(
                 "obstruction component is not the weight-(1 - kappa) part of g"
             )
-        if self.obstruction_nonzero != bool(part):
-            raise ResidueError("obstruction_nonzero disagrees with the component")
+        # the blow-up exponent l(alpha - 1 + kappa) - 1 = v + sum(e) - l - 1 for
+        # the scaled degree v of g when it is pure, else of the component
+        distinct = set(degrees.values())
+        v = distinct.pop() if len(distinct) == 1 else -base if part else None
+        if self.blowup_exponent != (None if v is None else v + base - 1):
+            raise ResidueError("blow-up exponent does not recompute")
         # the criterion is the spectrum's zero test, and the verdict follows
         # from the criterion and the component
         holds = self.criterion.holds
         if self.criterion != _criterion_from_spectrum(self.spectrum):
             raise ResidueError("criterion disagrees with the spectrum")
-        if holds and self.second_residue is not None:
-            raise ResidueError("a class that lifts carries a second residue")
-        expected = (
-            LIFTS if holds else OBSTRUCTED if self.obstruction_nonzero else INCONCLUSIVE
-        )
+        second = self.second_residue
+        if (second is None) != holds:
+            raise ResidueError(
+                "a second residue is present exactly when the criterion fails"
+            )
+        expected = LIFTS if holds else OBSTRUCTED if part else INCONCLUSIVE
         if self.verdict.kind != expected:
             raise ResidueError(
                 f"verdict {self.verdict.kind} does not follow from the criterion "
                 f"and the obstruction component (expected {expected})"
             )
-        if self.blowup_split is not None and self.blowup_form is not None:
-            if not _recombines(self.blowup_split, self.blowup_form, 0):
-                raise ResidueError("blow-up split does not recombine")
-        second = self.second_residue
-        if second is not None and not second.form.is_zero:
-            chart_vars = second.form.variables
-            certificate = second.certificate
-            if certificate is None:
-                raise ResidueError("second residue lacks its certificate")
-            factor = _single_term(
-                chart_vars,
-                [e - 1 for e in self.weight_system.cover_exponents[1:]],
-                self.jacobian_constant,
-            )
-            lhs = _Cleared().add_d_wedge(second.relation, second.form)
-            rhs = _Cleared().add(
-                tuple(range(len(chart_vars))), certificate.numerator * factor
-            )
-            if lhs != rhs:
-                raise ResidueError("second residue fails its defining identity")
+        if second is not None:
+            self._verify_second_residue(second, component)
         return True
+
+    def _verify_second_residue(self, second: ChartForm, component: Polynomial):
+        """The second residue lives on the chart image of s, is zero exactly
+        when the component is, and otherwise solves its defining identity for
+        the chart image of the component."""
+        w = self.weight_system
+        relation = _chart_image(self.s, w)
+        certificate = second.certificate
+        nonzero = not component.is_zero
+        if (
+            second.relation != relation
+            or second.form.variables != relation.variables
+            or not _chart_index_matches(second)
+            or second.form.is_zero == nonzero
+            or (certificate is None) == nonzero
+        ):
+            raise ResidueError(
+                "second residue is not a chart form on the chart image of s, "
+                "nonzero exactly when the obstruction component is"
+            )
+        if not nonzero:
+            return
+        chart_vars = relation.variables
+        factor = _single_term(
+            chart_vars, [e - 1 for e in w.cover_exponents[1:]], self.jacobian_constant
+        )
+        lhs = _Cleared().add_d_wedge(relation, second.form)
+        rhs = _Cleared().add(
+            tuple(range(len(chart_vars))), certificate.numerator * factor
+        )
+        if lhs != rhs:
+            raise ResidueError("second residue fails its defining identity")
+        if certificate.relation != relation or (
+            certificate.numerator != _chart_image(component, w)
+        ):
+            raise ResidueError(
+                "second residue certificate is not the chart image of s and of "
+                "the obstruction component"
+            )
 
 
 def analyze(
@@ -555,10 +572,10 @@ def analyze(
     of weight 1 - kappa drives the blow-up and obstruction stages, and the
     remaining components are reported as spectators in the warnings.
 
-    The criterion is read off the nonpositive spectrum, and the blow-up form
-    comes from one pullback of (g_a/s) dz through the composite of the cover
-    and the chart (g_a is g when g is pure, else its weight-(1 - kappa)
-    component); both agree with the staged functions by construction.
+    The criterion is read off the nonpositive spectrum, and the blow-up
+    exponent is blowup_exponent_formula of the weight of g_a (g when g is
+    pure, else its weight-(1 - kappa) component); no form is pulled back.
+    Tests compare both with the staged functions.
     """
     g._check_same_variables(s)
     warnings = []
@@ -585,7 +602,6 @@ def analyze(
     component = components.get(alpha)
     if len(components) == 1:  # pure: g itself is blown up
         (g_weight,) = components
-        blow_source = g
     elif component is not None:
         listed = ", ".join(str(x) for x in sorted(components) if x != alpha)
         warnings.append(
@@ -593,22 +609,12 @@ def analyze(
             f"the blow-up and obstruction stages, spectator weights: {listed}"
         )
         g_weight = alpha
-        blow_source = component
     else:
-        blow_source = None
+        g_weight = None
         warnings.append(
             "numerator mixes weights and has no component of weight "
             f"{alpha}; blow-up stage skipped"
         )
-
-    if blow_source is not None:
-        blowup_form = _chart_pullback(blow_source, s, w)
-        split = split_du0(blowup_form, 0)
-        exponent = split.exponent
-        if exponent is not None and exponent != blowup_exponent_formula(g_weight, w):
-            raise ResidueError("blow-up exponent disagrees with the weight formula")
-    else:
-        exponent, split, blowup_form = None, None, None
 
     if criterion.holds:
         kind, second = LIFTS, None
@@ -622,11 +628,10 @@ def analyze(
         criterion=criterion,
         spectrum=spectrum,
         leray=leray,
-        blowup_form=blowup_form,
-        blowup_exponent=exponent,
-        blowup_split=split,
+        blowup_exponent=(
+            None if g_weight is None else blowup_exponent_formula(g_weight, w)
+        ),
         second_residue=second,
-        obstruction_nonzero=component is not None,
         obstruction_component=(
             Polynomial.zero(g.variables) if component is None else component
         ),

@@ -199,33 +199,6 @@ def quasi_decompose(p: Polynomial, w: WeightSystem) -> QuasiDecomposition:
     )
 
 
-def euler_check(s: Polynomial, w: WeightSystem) -> bool:
-    """Verify sum_i a_i z_i ds/dz_i = weight * s exactly.
-
-    The identity characterizes quasihomogeneity, so this is a consistency
-    check on both the decomposition machinery and the derivative code.
-    """
-    _check_arity(s, w)
-    if s.is_zero:
-        return True
-    ok, weight = is_quasihomogeneous(s, w)
-    if not ok:
-        raise NonQuasihomogeneousError(f"{s} is not quasihomogeneous under {w}")
-    gens = Polynomial.generators(s.variables)
-    acc = Polynomial.zero(s.variables)
-    for i, (a, z) in enumerate(zip(w.weights, gens)):
-        acc = acc + a * z * s.partial_derivative(i)
-    return acc == weight * s
-
-
-def rescaled_weights(s: Polynomial, w: WeightSystem) -> WeightSystem:
-    """Weights divided by the valuation of s, making s have valuation 1."""
-    ok, weight = is_quasihomogeneous(s, w)
-    if not ok:
-        raise NonQuasihomogeneousError(f"{s} is not quasihomogeneous under {w}")
-    return _divide_weights(s, w, weight)
-
-
 def _divide_weights(s: Polynomial, w: WeightSystem, weight: Fraction) -> WeightSystem:
     """w divided by weight, the valuation of the quasihomogeneous s."""
     if weight == 0:

@@ -4,9 +4,11 @@ split, second residue, and the aggregate report."""
 import dataclasses
 import itertools
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
+from perfbench_catalog import load_catalog
 
 from resilift import algebra, cli, forms, residue
 from resilift.algebra import Polynomial, RationalFunction
@@ -22,7 +24,6 @@ from resilift.criteria import (
 )
 from resilift.forms import (
     DifferentialForm,
-    basis_form,
     d_of_polynomial,
     differential,
     equal_mod_hypersurface,
@@ -41,7 +42,6 @@ from resilift.residue import (
     blowup_pullback,
     cover_pullback_form,
     leray_residue,
-    residue_division,
     second_residue,
 )
 from resilift.weights import (
@@ -49,7 +49,6 @@ from resilift.weights import (
     WeightError,
     WeightSystem,
     quasi_decompose,
-    rescaled_weights,
 )
 
 F = Fraction
@@ -110,14 +109,6 @@ def test_leray_residue_degenerate_chart_names_usable_one():
     with pytest.raises(DegenerateChartError) as info:
         leray_residue(Polynomial.one(Z), s, 2)
     assert info.value.usable_chart == 0
-
-
-def test_residue_division_reverses_wedge(fermat):
-    eta = volume_form(Z, Polynomial.one(Z))
-    result = residue_division(eta, fermat, 0)
-    assert wedge(d_of_polynomial(fermat), result.form) == eta
-    with pytest.raises(ResidueError):
-        residue_division(differential(Z, "z0"), fermat, 0)
 
 
 def test_cover_pullback_form(fermat, wf):
@@ -256,33 +247,25 @@ def test_verify_rejects_corrupted_spectrum_and_witness():
                 mutant.verify()
 
 
-def _scaled_first(form, factor):
-    """form with its first component times factor."""
-    first = next(iter(form.components))
-    return DifferentialForm(
-        form.variables,
-        {key: c * factor if key == first else c for key, c in form.components.items()},
-    )
+ONE = Polynomial.one(Z)
+MIXED_G = ONE + Polynomial.variable(Z, "z0")
+
+
+def _second_residue_doubled(report):
+    second = report.second_residue
+    certificate = second.certificate
+    doubled = NonvanishingCertificate(certificate.numerator * 2, certificate.relation)
+    return dataclasses.replace(second, form=second.form * 2, certificate=doubled)
 
 
 def _form_mutations(report):
-    """Reports with one corrupted field of a form identity, by name, each with
-    the failure message of that identity."""
+    """Reports with one corrupted field, by name, each with the failure
+    message of the check that must catch it."""
     replace = dataclasses.replace
     leray = report.leray
-    split = report.blowup_split
-    variables = report.blowup_form.variables
-    u1 = Polynomial.variable(variables, variables[1])
-    extra = basis_form(variables, tuple(range(1, len(variables))), u1)
-    splits = {
-        "exponent +1": replace(split, exponent=split.exponent + 1),
-        "exponent -1": replace(split, exponent=split.exponent - 1),
-        "du0 factor scaled": replace(
-            split, du0_factor=_scaled_first(split.du0_factor, 3)
-        ),
-        "remainder extended": replace(split, remainder=split.remainder + extra),
-    }
     leray_failure = "stored residue fails"
+    chart_failure = "Leray residue is not a chart form of s"
+    other_chart = (leray.chart_index + 1) % len(report.s.variables)
     mutants = {
         "leray scaled": (
             replace(report, leray=replace(leray, form=leray.form * 2)),
@@ -292,28 +275,61 @@ def _form_mutations(report):
             replace(report, leray=replace(leray, form=-leray.form)),
             leray_failure,
         ),
+        "leray chart index": (
+            replace(report, leray=replace(leray, chart_index=other_chart)),
+            chart_failure,
+        ),
+        "leray relation": (
+            replace(report, leray=replace(leray, relation=leray.relation * 2)),
+            chart_failure,
+        ),
     }
-    for name, corrupted in splits.items():
+    exponent = report.blowup_exponent
+    if exponent is None:  # a mixed g without a weight-(1 - kappa) component
+        exponents = {"exponent set to -1": -1}
+    else:
+        exponents = {
+            "exponent +1": exponent + 1,
+            "exponent -1": exponent - 1,
+            "exponent dropped": None,
+        }
+    for name, value in exponents.items():
         mutants[name] = (
-            replace(report, blowup_split=corrupted),
-            "split does not recombine",
+            replace(report, blowup_exponent=value),
+            "blow-up exponent does not recompute",
         )
     second = report.second_residue
-    if second is not None and not second.form.is_zero:
-        certificate = second.certificate
-        changed = NonvanishingCertificate(
-            certificate.numerator + Polynomial.one(second.form.variables),
-            certificate.relation,
+    if second is None:
+        return mutants
+    second_chart_failure = "second residue is not a chart form"
+    mutants["second relation shifted"] = (
+        replace(report, second_residue=replace(second, relation=second.relation + 1)),
+        second_chart_failure,
+    )
+    if second.form.is_zero:
+        mutants["zero second residue given a chart"] = (
+            replace(report, second_residue=replace(second, chart_index=0)),
+            second_chart_failure,
         )
-        second_failure = "second residue fails"
-        mutants["second residue scaled"] = (
-            replace(report, second_residue=replace(second, form=second.form * F(1, 2))),
-            second_failure,
-        )
-        mutants["certificate changed"] = (
-            replace(report, second_residue=replace(second, certificate=changed)),
-            second_failure,
-        )
+        return mutants
+    certificate = second.certificate
+    changed = NonvanishingCertificate(
+        certificate.numerator + Polynomial.one(second.form.variables),
+        certificate.relation,
+    )
+    second_failure = "second residue fails"
+    mutants["second residue scaled"] = (
+        replace(report, second_residue=replace(second, form=second.form * F(1, 2))),
+        second_failure,
+    )
+    mutants["certificate changed"] = (
+        replace(report, second_residue=replace(second, certificate=changed)),
+        second_failure,
+    )
+    mutants["form and certificate doubled"] = (
+        replace(report, second_residue=_second_residue_doubled(report)),
+        "certificate is not the chart image",
+    )
     return mutants
 
 
@@ -326,15 +342,18 @@ def test_verify_rejects_corrupted_form_identities(fermat, wf):
         z0**4 + z1**4 + z2**8, z2**3, WeightSystem(("1/4", "1/4", "1/8"))
     )
     mixed = analyze(fermat, Polynomial.one(Z) + z0, wf)
-    assert [r.verdict.kind for r in (lifts, obstructed, mixed)] == [
+    inconclusive = analyze(fermat, z0 + z0 * z1, wf)
+    reports = [(lifts, 7), (obstructed, 11), (mixed, 11), (inconclusive, 7)]
+    assert [r.verdict.kind for r, _ in reports] == [
         LIFTS,
         OBSTRUCTED,
         OBSTRUCTED,
+        INCONCLUSIVE,
     ]
-    for report in (lifts, obstructed, mixed):
+    for report, count in reports:
         assert report.verify()
         mutants = _form_mutations(report)
-        assert len(mutants) == (6 if report is lifts else 8)
+        assert len(mutants) == count
         for name, (mutant, failure) in mutants.items():
             with pytest.raises(ResidueError, match=failure):
                 mutant.verify()
@@ -458,6 +477,17 @@ def _weighted_degrees(g, w):
     }
 
 
+def _staged_blowup_exponent(s, g, w):
+    """The u_0 exponent on the staged route: the cover pullback of
+    (g_a/s) dz, then the blow-up chart, for g_a = g when g is pure, else its
+    weight-(1 - kappa) component; None when a mixed g has none."""
+    components = quasi_decompose(g, w).components
+    g_alpha = g if len(components) == 1 else components.get(1 - w.kappa)
+    if g_alpha is None:
+        return None
+    return blowup_pullback(cover_pullback_form(g_alpha, s, w), w)[0]
+
+
 def _brute_verdict(g, w):
     """LIFTS unless some k >= 0 has kappa + sum k_i a_i = 1, found by
     enumeration; then OBSTRUCTED exactly when a term of g has weighted
@@ -514,37 +544,70 @@ def test_analyze_verdict_matches_lift_verdict(fermat, wf):
         report = analyze(s, g, w)
         assert report.verdict.kind == _brute_verdict(g, w)
         kinds.add(report.verdict.kind)
-        if len(_weighted_degrees(g, w)) == 1:  # a pure numerator blows up its cover form
-            assert (report.blowup_exponent, report.blowup_split) == blowup_pullback(
-                cover_pullback_form(g, s, w), w
-            )
-        # the one composite pullback against the staged cover then chart
-        components = quasi_decompose(g, w).components
-        g_alpha = g if len(components) == 1 else components.get(1 - w.kappa)
-        if g_alpha is None:
-            assert report.blowup_form is None and report.blowup_split is None
-            continue
-        staged = residue._blowup(cover_pullback_form(g_alpha, s, w), w)
-        composite = (report.blowup_form, report.blowup_exponent, report.blowup_split)
-        assert composite == staged
-        # a split's str holds its du0 factor and remainder rendered
-        assert [str(x) for x in composite] == [str(x) for x in staged]
+        assert report.blowup_exponent == _staged_blowup_exponent(s, g, w)
     assert kinds == {LIFTS, OBSTRUCTED, INCONCLUSIVE}
 
 
-ONE = Polynomial.one(Z)
-MIXED_G = ONE + Polynomial.variable(Z, "z0")
+def test_blowup_exponent_matches_the_staged_pullback_on_catalog_jobs(tmp_path):
+    catalog = load_catalog().CATALOG
+    exponents = set()
+    for job_id in random.Random(27).sample(sorted(catalog), 30):
+        path = tmp_path / f"{job_id}.json"
+        catalog[job_id].write(path)
+        job = cli.load_job(path)
+        report = analyze(job.s, job.g, job.weights)
+        staged = _staged_blowup_exponent(job.s, job.g, job.weights)
+        assert report.blowup_exponent == staged, job_id
+        exponents.add(staged)
+    # pure numerators, mixed ones with a weight-(1 - kappa) part, mixed without
+    assert None in exponents and -1 in exponents and len(exponents) > 3
+
+
+def test_analyze_pulls_no_form_back(monkeypatch, fermat, wf):
+    def refuse(*args):
+        raise AssertionError("pullback called")
+
+    monkeypatch.setattr(residue, "pullback", refuse)
+    with pytest.raises(AssertionError, match="pullback called"):
+        cover_pullback_form(ONE, fermat, wf)
+    z0, z1, _ = Polynomial.generators(Z)
+    cases = [
+        (ONE, OBSTRUCTED, -1),  # pure
+        (z0, INCONCLUSIVE, 0),  # pure
+        (MIXED_G, OBSTRUCTED, -1),  # mixed, with a weight-0 component
+        (z0 + z0 * z1, INCONCLUSIVE, None),  # mixed, without one
+    ]
+    for g, kind, exponent in cases:
+        report = analyze(fermat, g, wf)
+        assert (report.verdict.kind, report.blowup_exponent) == (kind, exponent)
+        assert report.verify()
+
+
+def _second_relation(report):
+    u1, u2 = Polynomial.generators(UV)
+    return dataclasses.replace(report.second_residue, relation=u1**3 + u2**3 + 2)
+
+
+def _leray_in_chart_2(report):
+    leray = report.leray
+    return dataclasses.replace(leray, chart_index=2, relation=leray.relation * 2)
 
 
 @pytest.mark.parametrize(
     "g, edit",
     [
-        (ONE, {"verdict": LiftVerdict(INCONCLUSIVE)}),
-        (ONE, {"verdict": LiftVerdict(LIFTS), "second_residue": None}),
-        (ONE, {"spectrum": ()}),
-        (ONE, {"obstruction_component": Polynomial.zero(Z)}),
+        (ONE, lambda r: {"verdict": LiftVerdict(INCONCLUSIVE)}),
+        (ONE, lambda r: {"verdict": LiftVerdict(LIFTS), "second_residue": None}),
+        (ONE, lambda r: {"spectrum": ()}),
+        (ONE, lambda r: {"obstruction_component": Polynomial.zero(Z)}),
         # the component of weight 1 - kappa = 0 is 1 alone
-        (MIXED_G, {"obstruction_component": MIXED_G}),
+        (MIXED_G, lambda r: {"obstruction_component": MIXED_G}),
+        (ONE, lambda r: {"blowup_exponent": r.blowup_exponent + 5}),
+        (ONE, lambda r: {"blowup_exponent": None}),
+        (ONE, lambda r: {"second_residue": _second_residue_doubled(r)}),
+        # d(relation) cannot see the constant, so only the tie to s can
+        (ONE, lambda r: {"second_residue": _second_relation(r)}),
+        (ONE, lambda r: {"leray": _leray_in_chart_2(r)}),
     ],
     ids=[
         "verdict inconclusive",
@@ -552,13 +615,18 @@ MIXED_G = ONE + Polynomial.variable(Z, "z0")
         "spectrum emptied",
         "component zeroed",
         "component is the mixed g",
+        "blow-up exponent raised by 5",
+        "blow-up exponent dropped",
+        "second residue and certificate numerator doubled",
+        "second residue relation shifted",
+        "leray chart index 2 with another relation",
     ],
 )
 def test_verify_rejects_forged_fermat_report(fermat, wf, g, edit):
     report = analyze(fermat, g, wf)
     assert report.verdict.kind == OBSTRUCTED and report.verify()
     with pytest.raises(ResidueError):
-        dataclasses.replace(report, **edit).verify()
+        dataclasses.replace(report, **edit(report)).verify()
 
 
 def test_verify_ties_the_criterion_to_the_spectrum_and_the_verdict_to_both():
@@ -620,7 +688,6 @@ def test_constant_equation_is_a_weight_error():
     for call in (
         lambda: analyze(s, g, w),
         lambda: analyze(s, g, w, rescale_weights=True),
-        lambda: rescaled_weights(s, w),
     ):
         with pytest.raises(WeightError, match="equation 5 is constant"):
             call()
@@ -638,6 +705,10 @@ def test_chart_form_validation():
 
 def test_residue_division_degenerate_chart_reports_usable():
     u1, u2 = Polynomial.generators(UV)
-    with pytest.raises(DegenerateChartError) as info:
-        residue_division(volume_form(UV, 1), u1**2, 1)
-    assert info.value.usable_chart == 0
+    for divide in (
+        lambda: leray_residue(Polynomial.one(UV), u1**2, 1),
+        lambda: residue._residue_division(volume_form(UV, 1), u1**2, 1, u1 * 0),
+    ):
+        with pytest.raises(DegenerateChartError) as info:
+            divide()
+        assert info.value.usable_chart == 0

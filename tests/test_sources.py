@@ -1,6 +1,7 @@
 """Every package module compiles without warnings; the CLI imports lightly;
-the README API example runs as documented."""
+the README API example runs as documented; every private helper is used."""
 
+import ast
 import json
 import os
 import subprocess
@@ -87,3 +88,39 @@ def test_readme_quick_start_and_public_names():
     }
     for name in resilift.__all__:
         assert hasattr(resilift, name), name
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level private function, class or assigned
+    name; dunder names such as __all__ are public."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                yield name, node
+
+
+def test_every_private_helper_is_used():
+    # a private name that nothing in the package reads outside its own
+    # definition is dead code; an import alone does not count as a use
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    uses = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+    unused = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = set(map(id, ast.walk(definition)))
+            if all(id(node) in inside for node in uses.get(name, ())):
+                unused.append(f"{module}: {name}")
+    assert unused == []

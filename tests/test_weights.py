@@ -6,15 +6,15 @@ import pytest
 
 from resilift.algebra import Polynomial
 from resilift.forms import basis_form, differential, volume_form
+from resilift.residue import analyze
 from resilift.weights import (
+    NonQuasihomogeneousError,
     UnnormalizedEquationError,
     WeightError,
     WeightSystem,
-    euler_check,
     is_quasihomogeneous,
     quasi_decompose,
     require_normalized,
-    rescaled_weights,
     valuation_form,
     valuation_poly,
 )
@@ -99,14 +99,6 @@ def test_quasi_decompose():
     assert sum(dec.components.values(), Polynomial.zero(XYZ)) == g
 
 
-def test_euler_check():
-    x, y, z = Polynomial.generators(XYZ)
-    w = WeightSystem(("1/3", "1/3", "1/4"))
-    assert euler_check(x**3 + y**3 + z**4, w)
-    with pytest.raises(WeightError):
-        euler_check(x**3 + y**3 + z**3, w)
-
-
 def test_require_normalized_and_rescale():
     x, y, z = Polynomial.generators(XYZ)
     s = x**3 + y**3 + z**4
@@ -116,14 +108,15 @@ def test_require_normalized_and_rescale():
     with pytest.raises(UnnormalizedEquationError) as info:
         require_normalized(s, doubled)
     assert "rescal" in str(info.value)
-    assert rescaled_weights(s, doubled).weights == good.weights
+    assert info.value.rescaled == good.weights
 
 
 def test_rescale_rejects_non_quasihomogeneous():
+    # analyze's rescale_weights option is the one route that rescales
     x, y, z = Polynomial.generators(XYZ)
     w = WeightSystem(("1/3", "1/3", "1/4"))
-    with pytest.raises(WeightError):
-        rescaled_weights(x**3 + z**3, w)
+    with pytest.raises(NonQuasihomogeneousError):
+        analyze(x**3 + z**3, x, w, rescale_weights=True)
 
 
 def test_arity_checked():
